@@ -1,26 +1,21 @@
 """Benchmark ``backends`` — JIT-kernel speedups over the NumPy paths.
 
 The compute-backend layer (see :mod:`repro.backends`) exists for the
-two measured hot-path laggards the NumPy vectorisation could not close:
-the O(n h^2) shared-sample counting pass of sampled h-Majority, and the
+measured hot-path laggard the NumPy vectorisation could not close: the
 per-chunk neighbor sample+gather of the batched graph engine.  This
 benchmark pins the layer's reason to exist:
 
-* ``test_backend_kernel_speedups`` — one study, three comparisons at
-  the headline configurations:
+* ``test_backend_kernel_speedups`` — one study, two comparisons at
+  the headline configuration:
 
-  - h-Majority population stepping (R = 64, n = 10^5, h = 5, k = 16):
-    the fused ``hmajority_population_batch`` kernel against both the
-    sequential row loop and the vectorised NumPy batch path.  Floors
-    (asserted only when the ``numba`` backend is importable and
-    healthy): **>=10x** over the row loop, >=2x over the NumPy batch.
   - Agent-batch Voter and 3-Majority (R = 64, n = 10^4, k = 8, fixed
     random-regular graph, fixed pre-consensus round budgets): the
     whole-engine wall clock under ``use_backend("numba")`` against
     ``use_backend("numpy")`` — the fused ``csr_sample_gather`` kernel
-    is the moving part.  Floors: **>=2x** for Voter, **>=1.5x** for
-    3-Majority (3-Majority does more non-gather work per round, so its
-    ceiling is lower).
+    is the moving part.  Floors (asserted only when the ``numba``
+    backend is importable and healthy): **>=2x** for Voter, **>=1.5x**
+    for 3-Majority (3-Majority does more non-gather work per round, so
+    its ceiling is lower).
 
   On NumPy-only hosts the study still runs the NumPy comparisons,
   still emits ``BENCH_backends.json`` (with ``"backend": "numpy"`` and
@@ -47,18 +42,10 @@ from conftest import write_bench_json
 from repro.analysis.tables import format_table
 from repro.backends import backend_available, use_backend
 from repro.configs import balanced
-from repro.core import Dynamics, HMajority, ThreeMajority, Voter
+from repro.core import ThreeMajority, Voter
 from repro.engine import BatchAgentEngine
 from repro.graphs import random_regular
 from repro.state import counts_to_agents
-
-# h-Majority population configuration (the O(n h^2) laggard).
-HM_N = 100_000
-HM_K = 16
-HM_H = 5
-HM_REPLICAS = 64
-HM_ROUNDS = 2
-HM_LOOP_ROUNDS = 1  # the row loop is ~R times slower; keep it honest but short
 
 # Agent-batch configuration (the sample+gather laggard).
 AG_N = 10_000
@@ -71,30 +58,6 @@ AG_CASES = (  # (label, dynamics factory, round budget, numba-vs-numpy floor)
 )
 
 NUMBA_AVAILABLE = backend_available("numba")
-
-# Asserted only when the numba backend is importable and self-checks.
-HM_FLOOR_VS_LOOP = 10.0
-HM_FLOOR_VS_NUMPY = 2.0
-
-
-def _hmajority_seconds(backend, rounds, row_loop=False) -> float:
-    dynamics = HMajority(HM_H)
-    matrix = np.tile(balanced(HM_N, HM_K), (HM_REPLICAS, 1))
-    rng = np.random.default_rng(0)
-    if row_loop:
-        # The base-class fallback: R sequential population_step calls.
-        def step(counts, generator):
-            return Dynamics.population_step_batch(
-                dynamics, counts, generator
-            )
-    else:
-        step = dynamics.population_step_batch
-    with use_backend(backend):
-        step(matrix, rng)  # warm-up (allocator, JIT compilation)
-        started = time.perf_counter()
-        for _ in range(rounds):
-            step(matrix, rng)
-        return (time.perf_counter() - started) / rounds
 
 
 def _agent_seconds(backend, factory, budget) -> float:
@@ -120,17 +83,6 @@ def _agent_seconds(backend, factory, budget) -> float:
 
 
 def _study() -> dict:
-    hm = {
-        "row_loop_s": _hmajority_seconds(
-            "numpy", HM_LOOP_ROUNDS, row_loop=True
-        ),
-        "numpy_s": _hmajority_seconds("numpy", HM_ROUNDS),
-        "numba_s": (
-            _hmajority_seconds("numba", HM_ROUNDS)
-            if NUMBA_AVAILABLE
-            else None
-        ),
-    }
     agents = {}
     for label, factory, budget, _floor in AG_CASES:
         agents[label] = {
@@ -141,7 +93,7 @@ def _study() -> dict:
                 else None
             ),
         }
-    return {"hmajority": hm, "agents": agents}
+    return agents
 
 
 def _ratio(baseline, optimised):
@@ -152,9 +104,6 @@ def _ratio(baseline, optimised):
 
 def test_backend_kernel_speedups(benchmark):
     study = benchmark.pedantic(_study, rounds=1, iterations=1)
-    hm = study["hmajority"]
-    hm_vs_loop = _ratio(hm["row_loop_s"], hm["numba_s"])
-    hm_vs_numpy = _ratio(hm["numpy_s"], hm["numba_s"])
 
     def _ms(seconds):
         return "-" if seconds is None else round(seconds * 1000, 2)
@@ -162,23 +111,14 @@ def test_backend_kernel_speedups(benchmark):
     def _x(ratio):
         return "-" if ratio is None else round(ratio, 1)
 
-    rows = [
-        [
-            f"{HM_H}-majority population",
-            _ms(hm["row_loop_s"]),
-            _ms(hm["numpy_s"]),
-            _ms(hm["numba_s"]),
-            _x(hm_vs_numpy),
-        ]
-    ]
+    rows = []
     agent_speedups = {}
     for label, _factory, _budget, _floor in AG_CASES:
-        entry = study["agents"][label]
+        entry = study[label]
         agent_speedups[label] = _ratio(entry["numpy_s"], entry["numba_s"])
         rows.append(
             [
                 f"agent-batch {label}",
-                "-",
                 _ms(entry["numpy_s"]),
                 _ms(entry["numba_s"]),
                 _x(agent_speedups[label]),
@@ -189,7 +129,6 @@ def test_backend_kernel_speedups(benchmark):
         format_table(
             [
                 "hot path",
-                "row loop ms/round",
                 "numpy ms/round",
                 "numba ms/round",
                 "numba/numpy",
@@ -197,8 +136,7 @@ def test_backend_kernel_speedups(benchmark):
             rows,
             title=(
                 f"Compute-backend kernels "
-                f"(h-majority R={HM_REPLICAS}, n={HM_N:,}, k={HM_K}; "
-                f"agent R={AG_REPLICAS}, n={AG_N:,}, k={AG_K}, "
+                f"(agent R={AG_REPLICAS}, n={AG_N:,}, k={AG_K}, "
                 f"d={AG_DEGREE}+loops)"
             ),
         )
@@ -207,15 +145,17 @@ def test_backend_kernel_speedups(benchmark):
     def _r(value):
         return None if value is None else round(value, 2)
 
+    def _seconds(value):
+        return None if value is None else round(value, 6)
+
+    # Headline: the Voter gather, the kernel's purest workload.
+    voter = study["voter"]
     write_bench_json(
         "backends",
-        speedup=_r(hm_vs_loop),
-        baseline_seconds=hm["row_loop_s"],
-        optimised_seconds=hm["numba_s"],
+        speedup=_r(agent_speedups["voter"]),
+        baseline_seconds=voter["numpy_s"],
+        optimised_seconds=voter["numba_s"],
         config={
-            "hmajority": {
-                "R": HM_REPLICAS, "n": HM_N, "k": HM_K, "h": HM_H,
-            },
             "agent": {
                 "R": AG_REPLICAS, "n": AG_N, "k": AG_K,
                 "degree": AG_DEGREE,
@@ -223,12 +163,12 @@ def test_backend_kernel_speedups(benchmark):
         },
         extra={
             "numba_available": NUMBA_AVAILABLE,
-            "hmajority": {
-                "row_loop_seconds": _r(hm["row_loop_s"]),
-                "numpy_seconds": _r(hm["numpy_s"]),
-                "numba_seconds": _r(hm["numba_s"]),
-                "numba_vs_row_loop": _r(hm_vs_loop),
-                "numba_vs_numpy": _r(hm_vs_numpy),
+            "agent_seconds": {
+                label: {
+                    "numpy_seconds": _seconds(entry["numpy_s"]),
+                    "numba_seconds": _seconds(entry["numba_s"]),
+                }
+                for label, entry in study.items()
             },
             "agent_numba_vs_numpy": {
                 label: _r(value)
@@ -241,14 +181,6 @@ def test_backend_kernel_speedups(benchmark):
             "numba unavailable: NumPy timings recorded, speedup floors "
             "not asserted"
         )
-    assert hm_vs_loop >= HM_FLOOR_VS_LOOP, (
-        f"h-majority numba kernel vs row loop: "
-        f"{hm_vs_loop:.1f}x < {HM_FLOOR_VS_LOOP}x"
-    )
-    assert hm_vs_numpy >= HM_FLOOR_VS_NUMPY, (
-        f"h-majority numba kernel vs numpy batch: "
-        f"{hm_vs_numpy:.1f}x < {HM_FLOOR_VS_NUMPY}x"
-    )
     for label, _factory, _budget, floor in AG_CASES:
         assert agent_speedups[label] >= floor, (
             f"agent-batch {label} numba vs numpy: "

@@ -2,8 +2,8 @@
 
 Tracks the vectorised ``population_step_batch`` overrides of the
 dynamics that used to fall back to the Python row loop (Median rule,
-Undecided-State, sampled h-Majority), next to the closed-form paper
-dynamics, and guards the catalogue against regressions:
+Undecided-State, h-Majority), next to the closed-form paper dynamics,
+and guards the catalogue against regressions:
 
 * ``test_batch_dynamics_speedup`` — per-round wall-clock of each
   dynamics' vectorised batch step against the base-class row-loop
@@ -13,11 +13,9 @@ dynamics, and guards the catalogue against regressions:
   ``numpy`` compute backend (an ambient JIT backend would accelerate
   the baseline's primitives too and flatten every ratio) while the
   vectorised path runs under the session default.  Asserts the
-  headline ≥5x for Median and Undecided-State; on NumPy-only hosts
-  h-Majority's O(n h^2) counting work dominates both paths at this
-  size so its speedup is reported unasserted, but when the ``numba``
-  backend is the default its fused counting kernel carries the batch
-  path and the ≥5x floor is asserted there too.
+  headline ≥5x for Median, Undecided-State and 5-Majority (one
+  evaluation of the exact majority-of-h law for all R rows plus one
+  batched multinomial, against R single-row law evaluations).
 * ``test_no_row_loop_fallback`` — fails if any catalogued dynamics
   loses its ``population_step_batch`` override and silently degrades to
   the row loop.
@@ -33,7 +31,7 @@ import numpy as np
 
 from conftest import write_bench_json
 from repro.analysis.tables import format_table
-from repro.backends import default_backend, use_backend
+from repro.backends import use_backend
 from repro.configs import balanced
 from repro.core import (
     Dynamics,
@@ -50,11 +48,6 @@ N = 100_000
 K = 16
 REPLICAS = 64
 
-#: h-Majority's floor only bites once the fused numba counting kernel
-#: is carrying the batch path; on NumPy-only hosts both paths pay the
-#: same O(n h^2) counting work and the ratio hovers near 1.
-HMAJORITY_FLOOR = 5.0 if default_backend().name == "numba" else None
-
 #: (label, dynamics, start vector, timed rounds, asserted floor).
 #: Round counts are tuned so each case runs long enough to time stably
 #: but stays pre-consensus at n = 10^5.
@@ -67,7 +60,7 @@ CASES = (
         100,
         5.0,
     ),
-    ("5-majority", HMajority(5), balanced(N, K), 2, HMAJORITY_FLOOR),
+    ("5-majority", HMajority(5), balanced(N, K), 50, 5.0),
     ("3-majority", ThreeMajority(), balanced(N, K), 100, None),
 )
 
@@ -134,7 +127,11 @@ def test_batch_dynamics_speedup(benchmark):
             "speedups": {
                 label: round(value, 2)
                 for label, value in study["speedups"].items()
-            }
+            },
+            "ms_per_round": {
+                label: {"row_loop": loop_ms, "batch": batch_ms}
+                for label, loop_ms, batch_ms, _speedup in study["rows"]
+            },
         },
     )
     for label, _dynamics, _start, _rounds, floor in CASES:

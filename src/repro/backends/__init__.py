@@ -1,10 +1,10 @@
 """Pluggable compute backends for the hot-path kernels.
 
-The batch engines vectorised everything, but two measured hot loops are
-memory- or Python-bound in ways NumPy cannot fix: h-majority's
-O(n·h²) shared-sample counting pass and the agent-batch CSR
-sample+gather.  This package routes those loops (plus the async tick
-samplers) through named, swappable kernels:
+The batch engines vectorised everything, but some measured hot loops
+are memory- or Python-bound in ways NumPy cannot fix: the agent-batch
+CSR sample+gather and the O(h²) plurality pass of sampled majority
+steps.  This package routes those loops (plus the async tick samplers)
+through named, swappable kernels:
 
 >>> from repro.backends import available_backends, use_backend
 >>> available_backends()

@@ -109,16 +109,6 @@ class NumbaBackend:
                 )
                 return out
 
-            def hmajority_population_batch(
-                counts: np.ndarray, h: int, rng: np.random.Generator
-            ) -> np.ndarray:
-                counts = np.ascontiguousarray(counts, dtype=np.int64)
-                out = np.zeros_like(counts)
-                k["hmajority_population_batch"](
-                    counts, h, _draw_seed(rng), out
-                )
-                return out
-
             def csr_sample_gather(
                 indptr: np.ndarray,
                 indices: np.ndarray,
@@ -162,7 +152,6 @@ class NumbaBackend:
 
             self._wrappers = {
                 "majority_winners": majority_winners,
-                "hmajority_population_batch": hmajority_population_batch,
                 "csr_sample_gather": csr_sample_gather,
                 "batch_categorical": batch_categorical,
                 "sample_holders": sample_holders,

@@ -18,9 +18,7 @@ invocation).  Each row derives an independent stream from
 ``seed + row * GAMMA``, which makes ``prange`` over rows deterministic
 for a given spec seed regardless of thread scheduling.  Bounded integer
 draws use rejection below the largest multiple of the bound, so they
-are *exactly* uniform — a label with zero population occupies a
-zero-width step of the integer CDF and can never be drawn, matching the
-NumPy paths' integer-exact sampling guarantee.
+are *exactly* uniform.
 
 Consequences for determinism: given the same spec seed, the numba and
 numpy backends consume different raw streams, so trajectories agree in
@@ -46,7 +44,6 @@ __all__ = ["KERNEL_NAMES", "build_kernels"]
 KERNEL_NAMES = frozenset(
     {
         "majority_winners",
-        "hmajority_population_batch",
         "csr_sample_gather",
         "batch_categorical",
         "sample_holders",
@@ -150,67 +147,6 @@ def build_kernels(njit, prange):
                     seen += 1
 
     @njit(parallel=True)
-    def hmajority_population_kernel(counts, h, seed, out):
-        # Fused h-majority population round: for every replica row and
-        # every one of its ``n`` vertices, draw h i.i.d. opinions by
-        # integer inverse-CDF from the row's counts, tally them with
-        # streaming per-sample counts (at most h distinct labels), and
-        # bank the plurality winner (uniform tie-break) directly into
-        # the output histogram.  No (rows, n*h) sample matrix, no
-        # multinomial + permuted shuffle — the allocation-free
-        # replacement for the O(n·h²) reference pass.
-        rows, k = counts.shape
-        for r in prange(rows):
-            cdf = np.empty(k, np.int64)
-            total = np.int64(0)
-            for j in range(k):
-                total += counts[r, j]
-                cdf[j] = total
-            if total <= 0:
-                continue
-            n_u = np.uint64(total)
-            state = _row_state(seed, r)
-            labels = np.empty(h, np.int64)
-            occur = np.empty(h, np.int64)
-            for _v in range(total):
-                m = 0
-                for _t in range(h):
-                    state, draw = _bounded(state, n_u)
-                    lab = _cdf_find(cdf, np.int64(draw))
-                    found = False
-                    for q in range(m):
-                        if labels[q] == lab:
-                            occur[q] += 1
-                            found = True
-                            break
-                    if not found:
-                        labels[m] = lab
-                        occur[m] = 1
-                        m += 1
-                best = np.int64(0)
-                ties = np.uint64(0)
-                for q in range(m):
-                    if occur[q] > best:
-                        best = occur[q]
-                        ties = np.uint64(1)
-                    elif occur[q] == best:
-                        ties += np.uint64(1)
-                if ties == np.uint64(1):
-                    for q in range(m):
-                        if occur[q] == best:
-                            out[r, labels[q]] += 1
-                            break
-                else:
-                    state, pick = _bounded(state, ties)
-                    seen = np.uint64(0)
-                    for q in range(m):
-                        if occur[q] == best:
-                            if seen == pick:
-                                out[r, labels[q]] += 1
-                                break
-                            seen += np.uint64(1)
-
-    @njit(parallel=True)
     def csr_sample_gather_kernel(indptr, indices, opinions, seed, out):
         # Fused uniform-neighbour sample + opinion gather over a CSR
         # adjacency: writes opinions[r, random neighbour of v] straight
@@ -275,7 +211,6 @@ def build_kernels(njit, prange):
         "_row_state": _row_state,
         "_cdf_find": _cdf_find,
         "majority_winners": majority_winners_kernel,
-        "hmajority_population_batch": hmajority_population_kernel,
         "csr_sample_gather": csr_sample_gather_kernel,
         "batch_categorical": batch_categorical_kernel,
         "sample_holders": sample_holders_kernel,

@@ -66,17 +66,18 @@ __all__ = [
 ]
 
 #: Default per-call scratch budget (array *elements*, not bytes) for the
-#: batched samplers whose intermediates scale with more than ``R * k`` —
-#: h-Majority's ``(R, n*h)`` shared-sample matrix and the Median rule's
+#: batched steps whose intermediates scale with more than ``R * k`` —
+#: the agent-level samplers' ``(R, s*n)`` neighbour planes, h-Majority's
+#: ``(R, ~h^3 k / 4)`` product-tree law scratch and the Median rule's
 #: ``(R, k, k)`` group-law tensor.  Dynamics chunk their replica rows so
 #: no *single* scratch array outgrows the budget (see
 #: :func:`iter_row_chunks`); a handful of budget-shaped temporaries
-#: coexist per chunk (sample labels, counting/jitter buffers, law
-#: copies), so size the knob for peak memory at a few times the budget
-#: in bytes.  The default of 2**22 elements (~32 MiB at int64) also
-#: keeps the per-chunk working set near cache-resident — measured on the
-#: h-Majority counting pass, per-element cost is flat up to ~4M elements
-#: and roughly quadruples by 16M, so bigger is not faster.  Override per
+#: coexist per chunk (sample labels, tree levels, law copies), so size
+#: the knob for peak memory at a few times the budget in bytes.  The
+#: default of 2**22 elements (~32 MiB at int64) also keeps the per-chunk
+#: working set near cache-resident — measured on a bandwidth-bound
+#: counting pass, per-element cost is flat up to ~4M elements and
+#: roughly quadruples by 16M, so bigger is not faster.  Override per
 #: instance via ``Dynamics.batch_element_budget`` or the batch engine's
 #: ``element_budget`` knob.
 BATCH_ELEMENT_BUDGET = 1 << 22
@@ -405,7 +406,7 @@ class Dynamics(abc.ABC):
     samples_per_round: int = 0
 
     #: Scratch-element budget consulted by batch steps whose intermediates
-    #: outgrow ``R * k`` (h-Majority, Median); see
+    #: outgrow ``R * k`` (agent-level samplers, h-Majority, Median); see
     #: :data:`BATCH_ELEMENT_BUDGET` and :func:`iter_row_chunks`.  The
     #: batch engine's ``element_budget`` knob overrides it per instance.
     batch_element_budget: int = BATCH_ELEMENT_BUDGET
@@ -436,7 +437,8 @@ class Dynamics(abc.ABC):
         Voter with one batched multinomial, 2-Choices and Undecided-State
         with a binomial + multinomial pair, the Median rule by mixing
         per-row closed-form group laws into one batched multinomial, and
-        h-Majority with a chunked shared-sample path — which is what
+        h-Majority with one batched multinomial over its exact
+        majority-of-h law — which is what
         makes :class:`~repro.engine.batch.BatchPopulationEngine` fast
         (``benchmarks/bench_batch_dynamics.py`` guards the overrides and
         tracks the per-dynamics speedups).

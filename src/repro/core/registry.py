@@ -38,7 +38,7 @@ def make_dynamics(spec: str | Dynamics) -> Dynamics:
     """Resolve ``spec`` into a :class:`~repro.core.base.Dynamics`.
 
     Accepted specs: any key of :func:`available_dynamics`, or
-    ``"<h>-majority"`` for sampled majority-of-h (``h != 3`` uses
+    ``"<h>-majority"`` for majority-of-h (``h != 3`` uses
     :class:`HMajority`; ``h = 3`` uses the closed-form
     :class:`ThreeMajority`).  Passing an existing instance returns it
     unchanged.

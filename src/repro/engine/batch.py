@@ -8,9 +8,10 @@ count matrix and advances every *unfinished* replica with a single call to
 the dynamics' ``population_step_batch``.  Every dynamics in the catalogue
 is fully vectorised there: one batched multinomial for 3-Majority and
 Voter, a binomial + multinomial pair for 2-Choices and Undecided-State, a
-batched group-law multinomial for the Median rule, and a chunked
-shared-sample pass for h-Majority (``benchmarks/bench_batch_dynamics.py``
-guards the overrides and tracks the speedups), so a ``replicate``-style
+batched group-law multinomial for the Median rule, and one batched
+multinomial over the exact majority-of-h law for h-Majority
+(``benchmarks/bench_batch_dynamics.py`` guards the overrides and tracks
+the speedups), so a ``replicate``-style
 workload has one vectorised hot loop instead of R sequential ones.
 
 The stopping rule is dynamics-aware: each round the engine asks the
@@ -135,7 +136,7 @@ class BatchPopulationEngine:
         Optional override of the dynamics' ``batch_element_budget`` —
         the scratch-element ceiling that chunks replica rows in batch
         steps whose intermediates outgrow ``R * k`` (h-Majority's
-        ``(R, n*h)`` sample matrix, Median's ``(R, k, k)`` law tensor).
+        product-tree scratch, Median's ``(R, k, k)`` law tensor).
         Lower it to cap memory, raise it to take bigger vectorised
         bites; it never changes the sampled chain.  Applied to a
         shallow copy of the dynamics (exposed as ``self.dynamics``), so

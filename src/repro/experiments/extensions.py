@@ -122,7 +122,7 @@ def run(preset: str = "quick", seed: int = 0) -> ExperimentResult:
         comparisons.append(
             ComparisonRecord(
                 EXPERIMENT_ID,
-                "Sampled majority-of-3 matches the closed-form "
+                "Majority-of-h law at h=3 matches the closed-form "
                 "3-Majority chain",
                 f"median {h_medians[3]:.0f} vs {t3:.0f} rounds",
                 "match" if agree else "mismatch",

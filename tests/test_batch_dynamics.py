@@ -5,12 +5,12 @@ gained ``population_step_batch`` overrides:
 
 * **distributional equivalence** — KS tests of batch vs sequential
   consensus times for the Median rule, the Undecided-State Dynamics and
-  sampled h-Majority, plus chunked-vs-unchunked h-Majority;
+  h-Majority;
 * **label conventions** — USD's ``k + 1``-label consensus convention
   (one *decided* opinion holds everything; all-undecided is censored,
   never a winner) as seen through the batch engine;
-* **helper contracts** — the batched sampling primitives and the
-  row-chunking memory guard;
+* **helper contracts** — the batched sampling primitives, the
+  row-chunking memory guard and the engine's element-budget knob;
 * **no-row-loop guard** — every catalogued dynamics must keep its
   vectorised override (also enforced by the CI benchmark job via
   ``benchmarks/bench_batch_dynamics.py``).
@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+from dynamics_ids import dynamics_id
 from repro.configs import balanced
 from repro.core import (
     Dynamics,
@@ -78,7 +79,9 @@ class TestDistributionalEquivalence:
                 with_undecided_slot(balanced(512, 4)),
             ),
         ],
-        ids=lambda x: getattr(x, "name", "counts"),
+        ids=lambda x: (
+            dynamics_id(x) if isinstance(x, Dynamics) else "counts"
+        ),
     )
     def test_consensus_time_distribution_matches(self, dynamics, counts):
         sequential = _sequential_times(
@@ -120,7 +123,7 @@ class TestDistributionalEquivalence:
             MedianRule(),
             HMajority(5),
         ],
-        ids=lambda d: d.name,
+        ids=dynamics_id,
     )
     def test_mass_conserved_every_round(self, dynamics):
         engine = BatchPopulationEngine(
@@ -253,34 +256,16 @@ class TestUndecidedConsensusConvention:
         assert result.winner is None
 
 
-class TestHMajorityChunking:
-    """Chunked and unchunked shared-sample paths sample the same chain."""
-
-    def test_one_step_distribution_equal(self):
-        start = balanced(256, 4)
-        matrix = np.tile(start, (300, 1))
-        unchunked = HMajority(5).population_step_batch(
-            matrix, np.random.default_rng(1)
-        )
-        # budget < n*h forces one row per vectorised call.
-        chunked = HMajority(
-            5, batch_element_budget=500
-        ).population_step_batch(matrix, np.random.default_rng(2))
-        assert (chunked.sum(axis=1) == 256).all()
-        statistic, p_value = ks_2samp(unchunked[:, 0], chunked[:, 0])
-        assert p_value > 1e-3, (statistic, p_value)
-
-    def test_consensus_times_distribution_equal(self):
-        counts = balanced(256, 4)
-        plain = _batch_times(HMajority(5), counts, 80, seed=5)
-        chunked = _batch_times(
-            HMajority(5, batch_element_budget=2048), counts, 80, seed=6
-        )
-        statistic, p_value = ks_2samp(plain, chunked)
-        assert p_value > 1e-3, (statistic, p_value)
+class TestBatchedSamplingHelpers:
+    def test_iter_row_chunks_covers_all_rows(self):
+        chunks = list(iter_row_chunks(10, 3, 9))  # 3 rows per chunk
+        assert chunks == [(0, 3), (3, 6), (6, 9), (9, 10)]
+        # A row wider than the budget still runs, one row at a time.
+        assert list(iter_row_chunks(2, 100, 10)) == [(0, 1), (1, 2)]
 
     def test_engine_element_budget_knob(self):
-        dynamics = HMajority(5, batch_element_budget=9999)
+        dynamics = MedianRule()
+        dynamics.batch_element_budget = 9999
         engine = BatchPopulationEngine(
             dynamics,
             balanced(64, 4),
@@ -296,32 +281,11 @@ class TestHMajorityChunking:
     def test_engine_rejects_bad_element_budget(self):
         with pytest.raises(ConfigurationError, match="element_budget"):
             BatchPopulationEngine(
-                HMajority(5),
+                MedianRule(),
                 balanced(64, 4),
                 num_replicas=2,
                 element_budget=0,
             )
-
-    def test_constructor_rejects_bad_budget(self):
-        with pytest.raises(ValueError, match="batch_element_budget"):
-            HMajority(5, batch_element_budget=-1)
-
-    def test_uneven_row_mass_falls_back_to_row_loop(self):
-        # Direct calls with unequal row masses are outside the engine's
-        # contract but must still be exact (row-loop fallback).
-        matrix = np.asarray([[30, 30, 40], [10, 20, 30]])
-        out = HMajority(3).population_step_batch(
-            matrix, np.random.default_rng(0)
-        )
-        assert out.sum(axis=1).tolist() == [100, 60]
-
-
-class TestBatchedSamplingHelpers:
-    def test_iter_row_chunks_covers_all_rows(self):
-        chunks = list(iter_row_chunks(10, 3, 9))  # 3 rows per chunk
-        assert chunks == [(0, 3), (3, 6), (6, 9), (9, 10)]
-        # A row wider than the budget still runs, one row at a time.
-        assert list(iter_row_chunks(2, 100, 10)) == [(0, 1), (1, 2)]
 
     def test_sample_opinions_batch_rowwise_law(self):
         rng = np.random.default_rng(0)

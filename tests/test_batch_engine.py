@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+from dynamics_ids import dynamics_id
 from repro.configs import balanced, zipf
 from repro.core import (
     HMajority,
@@ -103,7 +104,7 @@ class TestConservationLedger:
             HMajority(5),
             MedianRule(),
         ],
-        ids=lambda d: d.name,
+        ids=dynamics_id,
     )
     def test_stepwise_invariants(self, dynamics):
         engine = BatchPopulationEngine(

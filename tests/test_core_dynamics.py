@@ -15,11 +15,15 @@ The load-bearing checks:
 
 from __future__ import annotations
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dynamics_ids import dynamics_id
 from repro.core import (
     HMajority,
     MedianRule,
@@ -50,7 +54,7 @@ count_vectors = st.lists(
 
 
 @pytest.mark.parametrize(
-    "dynamics", ALL_SIMPLE_DYNAMICS, ids=lambda d: d.name
+    "dynamics", ALL_SIMPLE_DYNAMICS, ids=dynamics_id
 )
 class TestUniversalInvariants:
     def test_population_step_conserves_mass(self, dynamics, rng):
@@ -224,6 +228,23 @@ class TestTwoChoicesLaw:
         assert mean == pytest.approx(expected, abs=3e-3)
 
 
+def _enumerated_majority_law(alpha, h):
+    """Majority-of-h law by summing over every count vector of h draws."""
+    alpha = np.asarray(alpha, dtype=np.float64)
+    law = np.zeros_like(alpha)
+    for combo in itertools.product(range(h + 1), repeat=alpha.size):
+        if sum(combo) != h:
+            continue
+        prob = math.factorial(h)
+        for c, a in zip(combo, alpha):
+            prob *= a**c / math.factorial(c)
+        top = max(combo)
+        winners = [i for i, c in enumerate(combo) if c == top]
+        for i in winners:
+            law[i] += prob / len(winners)
+    return law
+
+
 class TestHMajority:
     def test_h1_is_voter(self, rng):
         alpha = np.asarray([0.3, 0.7])
@@ -252,10 +273,76 @@ class TestHMajority:
             assert law.sum() == pytest.approx(1.0)
             assert np.all(law >= 0)
 
-    def test_exact_law_refuses_huge_support(self):
+    def test_exact_law_support_20_is_uniform(self):
         alpha = np.full(20, 1 / 20)
-        with pytest.raises(NotImplementedError):
-            HMajority(3).single_vertex_law(alpha, 0)
+        law = HMajority(3).single_vertex_law(alpha, 0)
+        np.testing.assert_allclose(law, 1 / 20, rtol=0, atol=1e-15)
+
+    def test_law_batch_matches_enumeration(self):
+        rng = np.random.default_rng(7)
+        for k in range(1, 6):
+            rows = [rng.dirichlet(np.ones(k)) for _ in range(3)]
+            rows += list(np.eye(k))  # one-hot (consensus) rows
+            if k > 2:
+                dead = rng.dirichlet(np.ones(k))
+                dead[[0, k - 1]] = 0.0
+                rows.append(dead / dead.sum())
+            alpha = np.stack(rows)
+            for h in range(1, 7):
+                law = HMajority(h).law_batch(alpha)
+                expected = np.stack(
+                    [_enumerated_majority_law(row, h) for row in alpha]
+                )
+                np.testing.assert_allclose(
+                    law, expected, rtol=0, atol=1e-12, err_msg=f"h={h}"
+                )
+                assert (law[alpha == 0] == 0).all()
+
+    def test_law_batch_h1_is_alpha(self):
+        alpha = np.random.default_rng(1).dirichlet(np.ones(7), size=6)
+        law = HMajority(1).law_batch(alpha)
+        np.testing.assert_allclose(law, alpha, rtol=0, atol=1e-14)
+
+    def test_law_batch_h3_is_three_majority_law(self):
+        alpha = np.random.default_rng(2).dirichlet(np.ones(9), size=6)
+        law = HMajority(3).law_batch(alpha)
+        expected = np.stack([three_majority_law(row) for row in alpha])
+        np.testing.assert_allclose(law, expected, rtol=0, atol=1e-14)
+
+    def test_law_batch_rows_equal_single_vertex_law(self):
+        alpha = np.random.default_rng(3).dirichlet(np.ones(6), size=5)
+        alpha[1] = [0.5, 0.0, 0.5, 0.0, 0.0, 0.0]
+        dynamics = HMajority(5)
+        law = dynamics.law_batch(alpha)
+        for row in range(alpha.shape[0]):
+            np.testing.assert_allclose(
+                law[row],
+                dynamics.single_vertex_law(alpha[row], 0),
+                rtol=0,
+                atol=1e-15,
+            )
+
+    @pytest.mark.parametrize(
+        "h,k",
+        [(h, k) for h in (2, 5, 7, 9, 15) for k in (2, 16, 256)]
+        + [(31, 2), (130, 2)],
+    )
+    def test_law_batch_is_stable(self, h, k):
+        alpha = np.random.default_rng(h * 1000 + k).dirichlet(
+            np.ones(k), size=4
+        )
+        alpha[0] = 1 / k
+        law = HMajority(h).law_batch(alpha)
+        assert np.abs(law.sum(axis=1) - 1).max() <= 1e-12
+        assert law.min() >= -1e-15
+
+    def test_batch_uneven_row_mass(self):
+        # Rows with different totals each keep their own mass.
+        matrix = np.asarray([[30, 30, 40], [10, 20, 30]])
+        out = HMajority(3).population_step_batch(
+            matrix, np.random.default_rng(0)
+        )
+        assert out.sum(axis=1).tolist() == [100, 60]
 
     def test_population_step_matches_exact_law(self, rng):
         n = 100_000
@@ -450,7 +537,14 @@ class TestEngineEquivalence:
 
     @pytest.mark.parametrize(
         "dynamics",
-        [ThreeMajority(), TwoChoices(), Voter(), MedianRule()],
+        [
+            ThreeMajority(),
+            TwoChoices(),
+            Voter(),
+            MedianRule(),
+            HMajority(5),
+            HMajority(7),
+        ],
         ids=lambda d: d.name,
     )
     def test_one_step_mean_agreement(self, dynamics, rng_factory):

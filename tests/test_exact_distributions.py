@@ -15,7 +15,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.core import ThreeMajority, TwoChoices, Voter
+from repro.core import HMajority, ThreeMajority, TwoChoices, Voter
 from repro.core.three_majority import three_majority_law
 from repro.core.two_choices import two_choices_law
 from repro.graphs import CompleteGraph
@@ -34,19 +34,24 @@ def _multinomial_pmf(counts, probabilities):
     return math.exp(log_p)
 
 
-def _next_count_distribution_3maj(counts):
-    """Exact law of the next count vector for 3-Majority."""
-    n = int(sum(counts))
-    law = three_majority_law(np.asarray(counts) / n)
+def _multinomial_distribution(n, law):
+    """Every outcome of ``Multinomial(n, law)`` with its probability."""
     dist = {}
-    k = len(counts)
-    for combo in itertools.product(range(n + 1), repeat=k):
+    for combo in itertools.product(range(n + 1), repeat=len(law)):
         if sum(combo) != n:
             continue
         p = _multinomial_pmf(combo, law)
         if p > 0:
             dist[combo] = p
     return dist
+
+
+def _next_count_distribution_3maj(counts):
+    """Exact law of the next count vector for 3-Majority."""
+    n = int(sum(counts))
+    return _multinomial_distribution(
+        n, three_majority_law(np.asarray(counts) / n)
+    )
 
 
 def _next_count_distribution_2cho(counts):
@@ -165,6 +170,22 @@ class TestExactLaws:
             lambda: dynamics.population_step(base, rng), REPS
         )
         _compare(exact, sampled, REPS, "3maj k=3")
+
+    def test_h_majority_agent_matches_population_law(self, rng):
+        # h = 4 over three opinions exercises two- and three-way ties.
+        counts = np.asarray([2, 2, 1])
+        dynamics = HMajority(4)
+        law = dynamics.single_vertex_law(counts / 5, 0)
+        exact = _multinomial_distribution(5, law)
+        graph = CompleteGraph(5)
+        opinions = counts_to_agents(counts)
+        sampled = _sampled_frequencies(
+            lambda: agents_to_counts(
+                dynamics.agent_step(opinions, graph, rng), 3
+            ),
+            REPS,
+        )
+        _compare(exact, sampled, REPS, "4-majority agent")
 
     def test_voter_exact(self, rng):
         counts = np.asarray([2, 2], dtype=np.int64)

@@ -877,14 +877,15 @@ class TestKernelDegradation:
     ):
         from repro.simulation import Simulation
 
-        # 5-majority takes the sampled HMajority path, whose batch
-        # update dispatches through backend kernels (3-majority is
-        # closed-form and never asks the backend for anything).
+        # The 5-majority asynchronous batch tick samples each updating
+        # vertex's neighbours and dispatches their plurality through
+        # the majority_winners kernel (the synchronous population steps
+        # draw from closed-form laws and never ask the backend).
         spec = (
             Simulation.of("5-majority")
             .n(32)
             .k(2)
-            .engine("batch")
+            .engine("async-batch")
             .replicas(2)
             .seed(0)
             .max_rounds(4000)

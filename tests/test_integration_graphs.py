@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from dynamics_ids import dynamics_id
 from repro.core import (
     HMajority,
     MedianRule,
@@ -52,7 +53,7 @@ def _graphs(rng):
     ]
 
 
-@pytest.mark.parametrize("dynamics", DYNAMICS, ids=lambda d: d.name)
+@pytest.mark.parametrize("dynamics", DYNAMICS, ids=dynamics_id)
 def test_converges_on_well_connected_graphs(dynamics, rng):
     budget = 60_000 if dynamics.name in ("voter", "2-choices") else 20_000
     for graph in _graphs(rng):
@@ -67,7 +68,7 @@ def test_converges_on_well_connected_graphs(dynamics, rng):
         assert result.final_counts.sum() == N
 
 
-@pytest.mark.parametrize("dynamics", DYNAMICS, ids=lambda d: d.name)
+@pytest.mark.parametrize("dynamics", DYNAMICS, ids=dynamics_id)
 def test_mass_conserved_on_cycle(dynamics, rng):
     graph = cycle_graph(60, self_loops=True)
     opinions = counts_to_agents(

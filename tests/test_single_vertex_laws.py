@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dynamics_ids import dynamics_id
 from repro.core import (
     HMajority,
     MedianRule,
@@ -37,7 +38,7 @@ LAW_DYNAMICS = [
 
 
 @pytest.mark.parametrize(
-    "dynamics", LAW_DYNAMICS, ids=lambda d: d.name
+    "dynamics", LAW_DYNAMICS, ids=dynamics_id
 )
 class TestLawContracts:
     @given(alpha=alphas)
