@@ -5,7 +5,7 @@ Two benchmarks in one module:
 * ``test_adversarial_batch_speedup`` — the engine-layer claim: R
   adversarial replicas advanced as one ``(R, k)`` count matrix (batch
   engine + vectorised ``corrupt_batch``) must beat R sequential
-  ``AdversarialPopulationEngine`` chains by at least 3x wall-clock at
+  ``PopulationEngine(..., adversary=...)`` chains by at least 3x wall-clock at
   R = 64, tracked across R ∈ {16, 64, 256}.
 * ``test_regenerate_adv`` — the tolerance-threshold experiment around
   the [GL18] scale F = sqrt(n)/k^1.5 (now itself running batched; see
@@ -24,7 +24,6 @@ import numpy as np
 
 from conftest import write_bench_json
 from repro.adversary import (
-    AdversarialPopulationEngine,
     SupportRunnerUp,
     near_consensus_target,
     near_consensus_threshold,
@@ -34,6 +33,7 @@ from repro.configs import balanced
 from repro.core import ThreeMajority
 from repro.engine import (
     BatchPopulationEngine,
+    PopulationEngine,
     replicate,
     run_until_consensus,
 )
@@ -55,8 +55,11 @@ def _sequential_seconds(replicas: int) -> tuple[float, float]:
     counts = balanced(N, K)
 
     def one(rng):
-        engine = AdversarialPopulationEngine(
-            ThreeMajority(), counts, SupportRunnerUp(BUDGET), seed=rng
+        engine = PopulationEngine(
+            ThreeMajority(),
+            counts,
+            seed=rng,
+            adversary=SupportRunnerUp(BUDGET),
         )
         return run_until_consensus(
             engine, max_rounds=MAX_ROUNDS, target=_target
@@ -136,8 +139,8 @@ def test_adversarial_batch_speedup(benchmark):
         config={"R": 64, "n": N, "k": K, "F": BUDGET},
         extra={"speedups": {str(r): round(s, 2) for r, s in speedups.items()}},
     )
-    # Headline acceptance: >= 3x at R = 64 over sequential
-    # AdversarialPopulationEngine replication.  The R = 16 / R = 256
+    # Headline acceptance: >= 3x at R = 64 over sequential adversarial
+    # PopulationEngine replication.  The R = 16 / R = 256
     # rows are reported for trend-watching but not asserted on — this
     # job gates CI, and single-shot wall-clock ratios on shared runners
     # are too noisy to fail the build over.

@@ -13,9 +13,8 @@ forever, so "agreement" means the leader holds all but 4F replicas.
 Adversaries are first-class in the unified simulation API: each sweep
 point below is one fluent ``Simulation`` with ``.adversary(...)``, run
 on the batch engine so all RUNS attacked chains advance as a single
-vectorised count matrix (the legacy hand-wired
-``AdversarialPopulationEngine`` loop this replaces was RUNS sequential
-Python round-loops).
+vectorised count matrix instead of RUNS sequential Python round-loops
+over ``PopulationEngine(..., adversary=...)``.
 
 Run:  python examples/adversarial_consensus.py
 """

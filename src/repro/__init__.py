@@ -50,7 +50,6 @@ Package map
 """
 
 from repro.adversary import (
-    AdversarialPopulationEngine,
     Adversary,
     RandomCorruption,
     ReviveWeakest,
@@ -112,7 +111,6 @@ from repro.sweep import SweepSpec, run_sweep
 __version__ = "1.0.0"
 
 __all__ = [
-    "AdversarialPopulationEngine",
     "Adversary",
     "AgentEngine",
     "ApproximateMajority",

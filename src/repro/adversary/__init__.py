@@ -2,7 +2,6 @@
 
 from repro.adversary.base import (
     Adversary,
-    AdversarialPopulationEngine,
     apply_corruption,
     enforce_corruption_contract,
     enforce_corruption_contract_batch,
@@ -21,7 +20,6 @@ from repro.adversary.tolerance import (
 
 __all__ = [
     "Adversary",
-    "AdversarialPopulationEngine",
     "LeaderThresholdTarget",
     "RandomCorruption",
     "ReviveWeakest",

@@ -29,19 +29,17 @@ Subcommands
     one (``async``) measure strict consensus and say so.
 ``sweep --n N [N...] --k K [K...] [--dynamics D [D...]] [...]``
     Cached consensus-time sweep over the (dynamics, n, k) grid, with
-    optional process-parallel workers.  Measurement is batch-first: a
-    point's replicas run in one vectorised engine
-    (``batch``/``agent-batch``/``async-batch``) unless ``--measure
-    sequential`` asks for the historical one-run-per-replica path;
+    optional process-parallel workers.  A point's replicas run in one
+    vectorised engine (``batch``/``agent-batch``/``async-batch``);
     ``--chain async`` sweeps the one-vertex-per-tick [CMRSS25] chain
     instead of the synchronous one.  ``--graph random-regular
     --degree 4 8 16`` adds a graph-density grid axis (the "consensus
     time vs. degree" workload family); ``--adversary NAME
     --adversary-budget F [F...]`` adds the adversary to every point
     (several budgets form a tolerance-sweep grid axis).  Points cache
-    under distinct keys per substrate, chain, strategy, budget *and*
-    measurement mode — batched values are never read from (or written
-    over) old sequential caches.
+    under distinct keys per substrate, chain, strategy and budget;
+    cache files left by the retired one-run-per-replica measurement
+    are never read, so those points are re-measured.
 ``dynamics``
     List the registered dynamics specs.
 ``engines``
@@ -55,7 +53,7 @@ Subcommands
 ``serve --db PATH [--cache DIR] [--port P] [--fleet N] [...]``
     Run the simulation service: persistent SQLite job store, priority
     scheduler with per-client quotas, a worker fleet executing jobs
-    through the batch-first sweep path into one shared result cache,
+    through the sweep path into one shared result cache,
     and the submit/poll/result HTTP API.  Prints the bound URL (use
     ``--port 0`` for an ephemeral port) and serves until interrupted;
     orphaned ``running`` jobs from a previous process are re-queued at
@@ -296,7 +294,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     sweep_parser = sub.add_parser(
-        "sweep", help="cached consensus-time sweep over a parameter grid"
+        "sweep",
+        help=(
+            "cached consensus-time sweep over a parameter grid; each "
+            "point's replicas run in one batch-engine run"
+        ),
     )
     _add_sweep_axes(sweep_parser)
     sweep_parser.add_argument(
@@ -309,7 +311,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="process-parallel point evaluation (default sequential)",
+        help="process-parallel point evaluation (default in-process)",
     )
 
     serve_parser = sub.add_parser(
@@ -373,7 +375,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     submit_parser = sub.add_parser(
-        "submit", help="submit a sweep grid as a job to a running service"
+        "submit",
+        help=(
+            "submit a sweep grid as a job to a running service, which "
+            "measures it exactly as 'sweep' does"
+        ),
     )
     _add_sweep_axes(submit_parser)
     _add_service_url(submit_parser)
@@ -612,17 +618,6 @@ def _add_sweep_axes(parser: argparse.ArgumentParser) -> None:
         help=(
             "adversary budget(s); several values add a tolerance-sweep "
             "grid axis"
-        ),
-    )
-    parser.add_argument(
-        "--measure",
-        default="batch",
-        choices=("batch", "sequential"),
-        help=(
-            "how a point's replicas are measured: 'batch' (default; "
-            "one vectorised batch/agent-batch/async-batch engine run "
-            "per point) or 'sequential' (one run per replica stream); "
-            "the two cache under distinct keys"
         ),
     )
     parser.add_argument(
@@ -1068,10 +1063,7 @@ def _sweep(args) -> int:
         )
         started = time.perf_counter()
         points = run_sweep(
-            spec,
-            cache_dir=args.cache,
-            workers=args.workers,
-            measure=args.measure,
+            spec, cache_dir=args.cache, workers=args.workers
         )
     except (
         BackendUnavailableError,
@@ -1110,11 +1102,6 @@ def _sweep(args) -> int:
         + (f", adversary={args.adversary}" if adversarial else "")
         + (f", graph={args.graph}" if graph_sweep else "")
         + (", chain=async" if args.chain == "async" else "")
-        + (
-            ", measure=sequential"
-            if args.measure == "sequential"
-            else ""
-        )
         + ")"
     )
     print(format_table(headers, rows, title=title))
@@ -1205,7 +1192,6 @@ def _submit(args) -> int:
                 "fixed": fixed,
                 "num_runs": args.runs,
                 "seed": args.seed,
-                "measure": args.measure,
             },
             priority=args.priority,
         )

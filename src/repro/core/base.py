@@ -78,8 +78,7 @@ __all__ = [
 #: working set near cache-resident — measured on a bandwidth-bound
 #: counting pass, per-element cost is flat up to ~4M elements and
 #: roughly quadruples by 16M, so bigger is not faster.  Override per
-#: instance via ``Dynamics.batch_element_budget`` or the batch engine's
-#: ``element_budget`` knob.
+#: instance via ``Dynamics.batch_element_budget``.
 BATCH_ELEMENT_BUDGET = 1 << 22
 
 
@@ -407,8 +406,8 @@ class Dynamics(abc.ABC):
 
     #: Scratch-element budget consulted by batch steps whose intermediates
     #: outgrow ``R * k`` (agent-level samplers, h-Majority, Median); see
-    #: :data:`BATCH_ELEMENT_BUDGET` and :func:`iter_row_chunks`.  The
-    #: batch engine's ``element_budget`` knob overrides it per instance.
+    #: :data:`BATCH_ELEMENT_BUDGET` and :func:`iter_row_chunks`.  Set it
+    #: on an instance to override it for that instance.
     batch_element_budget: int = BATCH_ELEMENT_BUDGET
 
     # ------------------------------------------------------------------

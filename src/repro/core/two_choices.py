@@ -44,6 +44,13 @@ from repro.graphs.base import Graph
 
 __all__ = ["TwoChoices", "two_choices_law"]
 
+#: Cost crossover between the two exact population-step strategies:
+#: per-group multinomials cost about ``a^2`` work and direct pair
+#: sampling about ``n``; the group strategy is used when
+#: ``a^2 <= GROUP_STEP_THRESHOLD * n``.  Measured on CPython 3.11 +
+#: numpy 2; correctness does not depend on it.
+GROUP_STEP_THRESHOLD = 4.0
+
 
 def two_choices_law(alpha: np.ndarray, current_opinion: int) -> np.ndarray:
     """Next-opinion distribution for one vertex, paper eq. (6)."""
@@ -55,26 +62,10 @@ def two_choices_law(alpha: np.ndarray, current_opinion: int) -> np.ndarray:
 
 
 class TwoChoices(Dynamics):
-    """Synchronous 2-Choices on a complete graph or arbitrary graph.
-
-    Parameters
-    ----------
-    group_step_threshold:
-        Cost crossover between the two exact population-step strategies:
-        per-group multinomials cost about ``a^2`` work and direct pair
-        sampling about ``n``; the group strategy is used when
-        ``a^2 <= group_step_threshold * n``.  The default of 4.0 was
-        measured on CPython 3.11 + numpy 2; correctness does not depend
-        on it.
-    """
+    """Synchronous 2-Choices on a complete graph or arbitrary graph."""
 
     name = "2-choices"
     samples_per_round = 2
-
-    def __init__(self, group_step_threshold: float = 4.0) -> None:
-        if group_step_threshold <= 0:
-            raise ValueError("group_step_threshold must be positive")
-        self.group_step_threshold = float(group_step_threshold)
 
     def population_step(
         self, counts: np.ndarray, rng: np.random.Generator
@@ -83,7 +74,7 @@ class TwoChoices(Dynamics):
         if alive.size == 1:
             return counts.copy()
         n = int(counts.sum())
-        if alive.size**2 <= self.group_step_threshold * n:
+        if alive.size**2 <= GROUP_STEP_THRESHOLD * n:
             return self._population_step_groups(counts, alive, n, rng)
         return self._population_step_pairs(counts, alive, n, rng)
 

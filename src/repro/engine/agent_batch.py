@@ -41,7 +41,6 @@ realisation.
 
 from __future__ import annotations
 
-import copy
 from collections.abc import Callable
 
 import numpy as np
@@ -128,11 +127,6 @@ class BatchAgentEngine:
         (the population-level contract shared with
         :class:`~repro.engine.batch.BatchPopulationEngine`); objects
         exposing ``batch(rows)`` are evaluated in one vectorised call.
-    element_budget:
-        Optional override of the dynamics' ``batch_element_budget``
-        (the scratch ceiling that chunks replica rows inside
-        ``agent_step_batch``); applied to an engine-local copy of the
-        dynamics, like the population batch engine's knob.
     backend:
         Optional compute backend pinned for this engine's steps (name,
         instance, or ``None``/``"auto"`` to inherit the ambient backend
@@ -165,7 +159,6 @@ class BatchAgentEngine:
         seed: RandomState = None,
         adversary: Adversary | None = None,
         target: Callable[[np.ndarray], bool] | None = None,
-        element_budget: int | None = None,
         backend: str | None = None,
         record_hook: Callable[[int, np.ndarray, np.ndarray], None]
         | None = None,
@@ -174,14 +167,6 @@ class BatchAgentEngine:
             None if backend in (None, "auto") else resolve_backend(backend)
         )
         self.record_hook = record_hook
-        if element_budget is not None:
-            if element_budget < 1:
-                raise ConfigurationError(
-                    "element_budget must be positive, got "
-                    f"{element_budget}"
-                )
-            dynamics = copy.copy(dynamics)
-            dynamics.batch_element_budget = int(element_budget)
         self.dynamics = dynamics
         self.graph = graph
         self.adversary = adversary

@@ -39,7 +39,6 @@ keeps running until every row is frozen or the round budget is spent.
 
 from __future__ import annotations
 
-import copy
 from collections.abc import Callable
 
 import numpy as np
@@ -132,20 +131,11 @@ class BatchPopulationEngine:
         Optional stopping predicate on a single row's count vector;
         replaces the consensus check, evaluated per active row per
         round.  Rows satisfying it freeze exactly like consensus rows.
-    element_budget:
-        Optional override of the dynamics' ``batch_element_budget`` —
-        the scratch-element ceiling that chunks replica rows in batch
-        steps whose intermediates outgrow ``R * k`` (h-Majority's
-        product-tree scratch, Median's ``(R, k, k)`` law tensor).
-        Lower it to cap memory, raise it to take bigger vectorised
-        bites; it never changes the sampled chain.  Applied to a
-        shallow copy of the dynamics (exposed as ``self.dynamics``), so
-        the caller's instance keeps its own budget.
     backend:
         Optional compute backend pinned for this engine's steps (name,
         instance, or ``None``/``"auto"`` to inherit the ambient backend
-        — see :mod:`repro.backends`).  Like ``element_budget``, a pure
-        performance knob: it never changes the sampled chain's law.
+        — see :mod:`repro.backends`).  A pure performance knob: it
+        never changes the sampled chain's law.
     record_hook:
         Optional observation callback ``hook(round_index, counts,
         frozen)`` invoked after every :meth:`step` with the engine's
@@ -177,7 +167,6 @@ class BatchPopulationEngine:
         seed: RandomState = None,
         adversary: Adversary | None = None,
         target: Callable[[np.ndarray], bool] | None = None,
-        element_budget: int | None = None,
         backend: str | None = None,
         record_hook: Callable[[int, np.ndarray, np.ndarray], None]
         | None = None,
@@ -186,16 +175,6 @@ class BatchPopulationEngine:
             None if backend in (None, "auto") else resolve_backend(backend)
         )
         self.record_hook = record_hook
-        if element_budget is not None:
-            if element_budget < 1:
-                raise ConfigurationError(
-                    "element_budget must be positive, got "
-                    f"{element_budget}"
-                )
-            # Override on a shallow copy so a dynamics instance shared
-            # with other engines (or used directly) keeps its budget.
-            dynamics = copy.copy(dynamics)
-            dynamics.batch_element_budget = int(element_budget)
         self.dynamics = dynamics
         self.adversary = adversary
         self.target = target

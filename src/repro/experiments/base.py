@@ -25,8 +25,6 @@ import numpy as np
 from repro.analysis.comparison import ComparisonRecord
 from repro.analysis.tables import format_table, write_csv
 from repro.core.base import Dynamics
-from repro.engine.population import PopulationEngine
-from repro.engine.runner import RunResult, run_until_consensus
 from repro.seeding import RandomState
 from repro.simulation import ResultSet, SimulationSpec, execute
 from repro.errors import ConfigurationError
@@ -34,7 +32,6 @@ from repro.errors import ConfigurationError
 __all__ = [
     "ExperimentResult",
     "measure_consensus_times",
-    "run_population",
     "require_preset",
 ]
 
@@ -86,26 +83,6 @@ def require_preset(presets: dict, name: str) -> dict:
         raise ConfigurationError(
             f"unknown preset {name!r}; available: {sorted(presets)}"
         ) from None
-
-
-def run_population(
-    dynamics: Dynamics,
-    counts: np.ndarray,
-    rng: np.random.Generator,
-    max_rounds: int,
-    observers=(),
-) -> RunResult:
-    """One population run to consensus (or budget) with a given stream.
-
-    Legacy shim: kept for callers that thread a live generator through a
-    single run.  Replicated measurements should build a
-    :class:`~repro.simulation.spec.SimulationSpec` (or use
-    :func:`measure_consensus_times`) instead.
-    """
-    engine = PopulationEngine(dynamics, counts, seed=rng)
-    return run_until_consensus(
-        engine, max_rounds=max_rounds, observers=observers
-    )
 
 
 def measure_consensus_times(

@@ -68,7 +68,6 @@ def _job_specs(count: int) -> list[dict]:
             "num_runs": _NUM_RUNS,
             "seed": _SWEEP_SEED,
             "fixed": dict(_FIXED),
-            "measure": "batch",
         }
         for index in range(count)
     ]
@@ -207,7 +206,6 @@ def run_chaos(
                         fixed=spec["fixed"],
                     ),
                     cache_dir=base / "baseline",
-                    measure="batch",
                 )
                 for point in points:
                     expected[_params_key(point.params)] = [

@@ -13,7 +13,7 @@ lifts it into a long-running multi-tenant service:
   fair-share leasing and per-client quota admission;
 * :class:`~repro.service.workers.WorkerFleet` — leased execution with
   heartbeats, per-job timeouts and retry-with-backoff, running every
-  job through the ordinary batch-first sweep path into one shared
+  job through the ordinary sweep path into one shared
   result cache;
 * :class:`~repro.service.server.SimulationService` — the assembled
   service with its stdlib-HTTP submit/poll/result API;

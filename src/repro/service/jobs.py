@@ -1,8 +1,8 @@
 """Job model for the simulation service.
 
 A *job* is one sweep submission: a :class:`JobSpec` (the work — a
-parameter grid, replication settings and measurement mode, i.e. exactly
-what :func:`repro.sweep.run_sweep` consumes) plus submission metadata
+parameter grid and replication settings, i.e. exactly what
+:func:`repro.sweep.run_sweep` consumes) plus submission metadata
 (client id, priority) and lifecycle state.  Specs are canonical JSON —
 sorted keys, JSON-native types only — so a job survives a round-trip
 through the SQLite store and the HTTP API byte-identically, and two
@@ -62,29 +62,24 @@ SETTLED_STATES = TERMINAL_STATES + ("dead",)
 
 @dataclass(frozen=True)
 class JobSpec:
-    """The work of one job: a sweep grid plus measurement settings.
+    """The work of one job: a sweep grid plus replication settings.
 
     Mirrors :class:`repro.sweep.SweepSpec` (grid / fixed / num_runs /
-    seed) plus the sweep driver's ``measure`` mode.  Validation is
-    eager and complete at construction: the spec is materialised into a
-    ``SweepSpec`` and every grid point through
-    :func:`repro.sweep.spec_from_params`, so a job that would fail deep
-    inside a worker hours later is instead rejected at submit time with
-    the usual :class:`~repro.errors.ConfigurationError`.
+    seed).  Validation is eager and complete at construction: the spec
+    is materialised into a ``SweepSpec`` and every grid point into the
+    very spec the worker's measurement runs
+    (:func:`repro.sweep.spec_from_params` with the job's replica
+    count), so a job that would fail deep inside a worker hours later
+    is instead rejected at submit time with the usual
+    :class:`~repro.errors.ConfigurationError`.
     """
 
     grid: dict
     num_runs: int = 3
     seed: int | tuple = 0
     fixed: dict = field(default_factory=dict)
-    measure: str = "batch"
 
     def __post_init__(self) -> None:
-        if self.measure not in ("batch", "sequential"):
-            raise ConfigurationError(
-                f"measure must be 'batch' or 'sequential', "
-                f"got {self.measure!r}"
-            )
         # Canonical JSON admits only JSON-native structures; reject
         # anything that would not round-trip through the store/API.
         try:
@@ -99,7 +94,7 @@ class JobSpec:
         # admitted with a grid that raises after the queue drains.
         for params in spec.points():
             try:
-                spec_from_params(params)
+                spec_from_params(params, replicas=spec.num_runs)
             except KeyError as exc:
                 raise ConfigurationError(
                     f"grid point {params!r} is missing required "
@@ -137,7 +132,6 @@ class JobSpec:
                 "num_runs": int(self.num_runs),
                 "seed": seed,
                 "fixed": {k: self.fixed[k] for k in sorted(self.fixed)},
-                "measure": self.measure,
             },
             sort_keys=True,
         )
@@ -150,7 +144,12 @@ class JobSpec:
 
     @classmethod
     def from_mapping(cls, payload: dict) -> "JobSpec":
-        """Build a validated spec from an untrusted JSON-level dict."""
+        """Build a validated spec from an untrusted JSON-level dict.
+
+        ``"measure": "batch"`` is accepted and dropped: older clients
+        send it and older job rows store it.  Any other ``measure``
+        names the retired sequential measurement and is rejected.
+        """
         if not isinstance(payload, dict):
             raise ConfigurationError(
                 f"job spec must be an object, got {type(payload).__name__}"
@@ -162,6 +161,11 @@ class JobSpec:
             raise ConfigurationError(
                 f"unknown job-spec fields: {sorted(unknown)}"
             )
+        if payload.get("measure", "batch") != "batch":
+            raise ConfigurationError(
+                "measure must be 'batch' (sweep points are measured by "
+                f"the batch engines only), got {payload['measure']!r}"
+            )
         if "grid" not in payload:
             raise ConfigurationError("job spec requires a 'grid'")
         seed = payload.get("seed", 0)
@@ -172,7 +176,6 @@ class JobSpec:
             num_runs=payload.get("num_runs", 3),
             seed=seed,
             fixed=payload.get("fixed", {}),
-            measure=payload.get("measure", "batch"),
         )
 
     @classmethod

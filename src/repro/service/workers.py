@@ -2,7 +2,7 @@
 
 A :class:`WorkerFleet` runs a pool of daemon threads.  Each worker
 loops: lease the best queued job from the scheduler, execute it through
-the ordinary batch-first sweep path (:func:`repro.sweep.run_sweep` with
+the ordinary sweep path (:func:`repro.sweep.run_sweep` with
 ``on_error="skip"``, so per-point failures become structured entries in
 the result instead of aborting the job), and record the outcome in the
 store.  While a job runs, the worker emits heartbeats — both
@@ -119,7 +119,7 @@ def run_sweep_job(
     *,
     cache_dir: str | Path | None,
 ) -> list:
-    """Execute one job through the batch-first sweep driver.
+    """Execute one job through :func:`repro.sweep.run_sweep`.
 
     Results land in (and resume from) the shared on-disk point cache:
     two jobs measuring overlapping grids share work, and a retried or
@@ -130,7 +130,6 @@ def run_sweep_job(
     points = run_sweep(
         job.spec.to_sweep_spec(),
         cache_dir=cache_dir,
-        measure=job.spec.measure,
         on_error="skip",
         # A torn cache file (crashed writer, disk fault) must not brick
         # the job on every retry: discard and re-measure the point.

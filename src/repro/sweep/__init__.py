@@ -3,7 +3,6 @@
 from repro.sweep.grid import (
     SweepPoint,
     SweepSpec,
-    consensus_time_point,
     consensus_times_point_batch,
     run_sweep,
     spec_from_params,
@@ -12,7 +11,6 @@ from repro.sweep.grid import (
 __all__ = [
     "SweepPoint",
     "SweepSpec",
-    "consensus_time_point",
     "consensus_times_point_batch",
     "run_sweep",
     "spec_from_params",

@@ -12,22 +12,16 @@ the examples and gives downstream users a one-call sweep API:
 ... )
 >>> table = run_sweep(spec, cache_dir="sweeps/my-study")   # doctest: +SKIP
 
-Each grid point is measured by a *point function* (the default measures
-the consensus time of a dynamics from a balanced start; any callable
-``(params, rng) -> float`` works) and cached as one JSON file keyed by
-the point's parameters, so interrupted sweeps resume for free.
-
-Measurement is **batch-first**: by default a point's ``num_runs``
-replicas are measured in one vectorised engine run
-(``batch`` / ``agent-batch`` / ``async-batch``, via
-:func:`consensus_times_point_batch`) instead of ``num_runs`` sequential
-runs.  Pass ``measure="sequential"`` to :func:`run_sweep` for the
-historical one-engine-per-replica path.  The two modes sample the same
-chains (equal in distribution, regression-tested) but consume
-randomness differently — batched replicas share one stream — so their
-cache keys carry a versioned measurement-mode field and are never
-interchangeable: a batched sweep never reads values from an old
-sequential cache, and vice versa.
+Each grid point's ``num_runs`` replicas are measured in **one**
+vectorised engine run — ``batch`` for population points,
+``agent-batch`` for graph points, ``async-batch`` for asynchronous
+points — by :func:`consensus_times_point_batch` (any picklable
+``(params, num_runs, seed) -> values`` callable works), and cached as
+one JSON file keyed by the point's parameters plus a versioned
+measurement field, so interrupted sweeps resume for free.  The field
+keeps cache files written by the retired one-engine-per-replica
+measurement (keyed by the parameters alone) out of every read: such a
+point is re-measured, never misread.
 """
 
 from __future__ import annotations
@@ -36,7 +30,6 @@ import functools
 import hashlib
 import itertools
 import json
-import math
 import os
 import time
 from collections.abc import Callable, Mapping
@@ -47,14 +40,8 @@ from pathlib import Path
 import numpy as np
 
 from repro.adversary import near_consensus_target
-from repro.backends import AUTO_BACKEND, resolve_backend, use_backend
-from repro.engine import (
-    AgentEngine,
-    AsyncPopulationEngine,
-    PopulationEngine,
-    get_engine,
-    run_until_consensus,
-)
+from repro.backends import AUTO_BACKEND, resolve_backend
+from repro.engine import get_engine
 from repro.errors import (
     CacheIntegrityError,
     ConfigurationError,
@@ -63,31 +50,30 @@ from repro.errors import (
 from repro.faults import fault_point
 from repro.graphs import make_graph
 from repro.provenance import canon_hash, git_revision, record_artifact
-from repro.seeding import RandomState, spawn_generators
+from repro.seeding import RandomState
 from repro.simulation import SimulationSpec, execute
-
-from repro.state import counts_to_agents
 
 __all__ = [
     "SweepPoint",
     "SweepSpec",
-    "consensus_time_point",
     "consensus_times_point_batch",
     "run_sweep",
     "spec_from_params",
 ]
 
-PointFunction = Callable[[Mapping, np.random.Generator], float]
-
-#: Batched point functions measure a whole grid point at once:
+#: Point functions measure a whole grid point at once:
 #: ``(params, num_runs, seed) -> per-replica values`` where ``seed`` is
 #: declarative (an int tuple), so the callable stays picklable for the
 #: worker pool.
 BatchPointFunction = Callable[[Mapping, int, tuple], tuple]
 
-#: Sequential chain families a grid point may name via its ``engine``
-#: parameter, mapped to the vectorised sibling that measures the same
-#: chain when the sweep runs with ``measure="batch"``.
+#: The one measurement mode, as cache payloads and manifests record it;
+#: its versioned form is part of every cache key.
+_MEASURE = "batch"
+_MEASURE_VERSION = f"{_MEASURE}/v1"
+
+#: Chain families a grid point may name via its ``engine`` parameter,
+#: mapped to the registered batch engine that measures the chain.
 _BATCH_SIBLING = {
     "population": "batch",
     "agent": "agent-batch",
@@ -101,7 +87,7 @@ def _cached_graph(name, n, degree, edge_probability, graph_seed):
 
     Every replica of a graph point (and every point sharing the
     substrate dimension) sees the *same* deterministic edge set, so
-    rebuilding it per run would only burn generator time — at sweep
+    rebuilding it per point would only burn generator time — at sweep
     sizes the networkx-backed samplers can rival the simulation itself.
     Keyed by the flat JSON-level parameters; each worker process keeps
     its own cache.
@@ -115,25 +101,36 @@ def _cached_graph(name, n, degree, edge_probability, graph_seed):
     )
 
 
+def _point_engine(params: Mapping) -> str:
+    """The registered batch engine that measures a point's chain.
+
+    Graph points run the agent chain, ``engine`` names the chain family
+    otherwise, and the default is the population chain.  Both the
+    point's spec and its provenance manifest take the engine from here.
+    """
+    family = params.get("engine")
+    if "graph" in params and params["graph"] != "complete":
+        family = "agent"
+    return _BATCH_SIBLING[family or "population"]
+
+
 def spec_from_params(
     params: Mapping,
     *,
     replicas: int = 1,
     seed: RandomState = 0,
-    measure: str = "sequential",
 ) -> SimulationSpec:
-    """Build a validated simulation spec from a flat grid-point dict.
+    """Build the validated spec that measures a flat grid-point dict.
 
     Recognised keys: ``dynamics`` (default ``"3-majority"``), ``n``,
     ``k``, ``initial`` (family name, default ``"balanced"``),
     ``initial_params`` (dict of family parameters), ``max_rounds``,
-    ``engine`` (the sequential chain family to measure —
-    ``"population"`` (default), ``"agent"`` or ``"async"``; the
-    one-vertex-per-tick [CMRSS25] chain becomes a grid dimension this
-    way), ``adversary`` (strategy name), ``adversary_budget``
-    (per-round F — a natural grid axis for tolerance sweeps), and the
-    graph substrate dimension: ``graph`` (a
-    :data:`repro.graphs.GRAPH_FAMILIES` name), ``degree``
+    ``engine`` (the chain family to measure — ``"population"``
+    (default), ``"agent"`` or ``"async"``; the one-vertex-per-tick
+    [CMRSS25] chain becomes a grid dimension this way), ``adversary``
+    (strategy name), ``adversary_budget`` (per-round F — a natural grid
+    axis for tolerance sweeps), and the graph substrate dimension:
+    ``graph`` (a :data:`repro.graphs.GRAPH_FAMILIES` name), ``degree``
     (random-regular — the grid axis of "consensus time vs. degree"
     studies), ``edge_probability`` (Erdős–Rényi) and ``graph_seed``
     (edge-set seed, default 0, kept separate from the run seeds so
@@ -146,37 +143,33 @@ def spec_from_params(
     cache entry and — crucially for the point cache — points with
     different substrates, chain families, strategies or budgets hash
     to different keys, because the full parameter dict is the cache
-    key.  Graph points run the agent-level chain; non-graph points
-    default to the exact population chain.  Validation happens here,
-    eagerly, rather than deep inside a half-finished sweep.
+    key.  Validation happens here, eagerly, rather than deep inside a
+    half-finished sweep.
 
-    ``measure="batch"`` swaps each chain family for its vectorised
-    sibling (``batch`` / ``agent-batch`` / ``async-batch``) with
-    ``replicas`` rows and the declarative ``seed``; adversarial batch
-    points additionally carry the near-consensus ``target`` on engines
-    that support per-row targets, mirroring what the sequential point
-    function passes to ``run_until_consensus``.  The *initial
-    configuration* is always derived from the params alone (the batched
-    spec receives the explicit count vector the sequential-equivalent
-    spec would build), so random initial families like ``dirichlet``
-    start both measurement modes — and every replica — from the same
-    configuration; the measurement ``seed`` only drives the chains.
+    The spec runs the chain family's registered batch engine
+    (``batch`` / ``agent-batch`` / ``async-batch``, see
+    :func:`_point_engine`) with ``replicas`` rows and the declarative
+    ``seed``.  Graph points run the agent-level chain.  Adversarial
+    points with ``F >= 1`` stop at the near-consensus ``target`` on
+    engines that support per-row targets: an F >= 1 adversary can
+    stall strict consensus forever.  The *initial configuration* is a
+    function of the params alone: the spec receives the explicit count
+    vector that the family draws from the default spec seed, so random
+    initial families like ``dirichlet`` start every replica, under
+    every sweep seed, from the same configuration; the measurement
+    ``seed`` only drives the chains.
     """
-    if measure not in ("sequential", "batch"):
+    family = params.get("engine")
+    if family is not None and family not in _BATCH_SIBLING:
         raise ConfigurationError(
-            f"measure must be 'sequential' or 'batch', got {measure!r}"
-        )
-    engine = params.get("engine")
-    if engine is not None and engine not in _BATCH_SIBLING:
-        raise ConfigurationError(
-            f"sweep points measure a sequential chain family; engine "
-            f"must be one of {sorted(_BATCH_SIBLING)}, got {engine!r}"
+            f"sweep points name a chain family; engine must be one of "
+            f"{sorted(_BATCH_SIBLING)}, got {family!r}"
         )
     graph = None
     if "graph" in params and params["graph"] != "complete":
-        if engine not in (None, "agent"):
+        if family not in (None, "agent"):
             raise ConfigurationError(
-                f"graph points run the agent chain, got engine={engine!r}"
+                f"graph points run the agent chain, got engine={family!r}"
             )
         graph = _cached_graph(
             str(params["graph"]),
@@ -189,43 +182,30 @@ def spec_from_params(
             ),
             int(params.get("graph_seed", 0)),
         )
-        engine = "agent"
-    elif engine is None:
-        engine = "population"
-    counts = None
-    if measure == "batch":
-        engine = _BATCH_SIBLING[engine]
-        # Pin the start to what sequential measurement uses: the
-        # sequential point function builds its spec from the params
-        # alone (default spec seed), so random initial families
-        # (dirichlet) derive their configuration from that fixed
-        # stream.  The batched spec carries a *measurement* seed, which
-        # must not leak into the start — hand it the explicit counts
-        # of the sequential-equivalent spec instead.
-        counts = spec_from_params(params).initial_counts()
-    target = None
+    engine = _point_engine(params)
+    start = {
+        "dynamics": params.get("dynamics", "3-majority"),
+        "n": int(params["n"]),
+        "k": int(params["k"]),
+        "initial": params.get("initial", "balanced"),
+        "initial_params": params.get("initial_params", {}),
+    }
     budget = (
         int(params["adversary_budget"])
         if "adversary_budget" in params
         else None
     )
+    target = None
     if (
-        measure == "batch"
-        and params.get("adversary") is not None
+        params.get("adversary") is not None
         and budget
         and get_engine(engine).supports_target
     ):
-        # Same stopping rule the sequential point function applies by
-        # hand: an F >= 1 adversary can stall strict consensus forever,
-        # so adversarial points measure the near-consensus threshold.
-        target = near_consensus_target(int(params["n"]), budget)
-    spec = SimulationSpec(
-        dynamics=params.get("dynamics", "3-majority"),
-        n=int(params["n"]),
-        k=int(params["k"]),
-        initial=params.get("initial", "balanced"),
-        initial_params=params.get("initial_params", {}),
-        counts=counts,
+        target = near_consensus_target(start["n"], budget)
+    return SimulationSpec(
+        **start,
+        # Drawn under the default spec seed, not the measurement seed.
+        counts=SimulationSpec(**start).initial_counts(),
         engine=engine,
         graph=graph,
         replicas=int(replicas),
@@ -238,112 +218,33 @@ def spec_from_params(
         adversary_budget=budget,
         backend=str(params.get("backend", AUTO_BACKEND)),
     )
-    return spec
-
-
-def consensus_time_point(
-    params: Mapping, rng: np.random.Generator
-) -> float:
-    """Default point function: consensus time of one run.
-
-    Builds a :class:`~repro.simulation.spec.SimulationSpec` via
-    :func:`spec_from_params` and measures a single run on the caller's
-    stream — the exact population chain on the complete substrate, the
-    agent-level chain (shuffled vertex identities) on graph points, the
-    one-vertex-per-tick [CMRSS25] chain (reported in synchronous-
-    equivalent rounds) on ``engine="async"`` points.  Returns NaN when
-    the round budget runs out, so censored points are visible rather
-    than silently dropped.
-
-    Adversarial points (``adversary`` + ``adversary_budget`` in
-    ``params``) run the corrupted chain; since an F >= 1 adversary can
-    trivially keep a stray vertex alive forever, such points measure the
-    first round the leader reaches the
-    :func:`~repro.adversary.tolerance.near_consensus_threshold`
-    (all but 4F vertices, floored at a strict majority) instead of
-    strict consensus.
-    """
-    spec = spec_from_params(params)
-    adversary = spec.resolved_adversary()
-    # Sequential points drive engines directly (no execute() dispatch),
-    # so the spec's backend is installed here; the engines' hot-path
-    # kernels pick it up from the ambient context.
-    with use_backend(resolve_backend(spec.backend)):
-        if spec.engine == "async":
-            # One-vertex-per-tick chain: the round budget buys n ticks
-            # per round and the measurement is reported in synchronous-
-            # equivalent rounds (ceil(ticks / n)), matching the async
-            # registry adapter.  The async engine has no custom-target
-            # support, so adversarial async points measure strict
-            # consensus (a stalling adversary surfaces as a censored
-            # NaN).
-            engine = AsyncPopulationEngine(
-                spec.resolved_dynamics(),
-                spec.initial_counts(),
-                seed=rng,
-                adversary=adversary,
-            )
-            tick = engine.run_until_consensus(
-                max_ticks=spec.round_budget() * spec.n
-            )
-            if tick is None:
-                return float("nan")
-            return float(math.ceil(tick / spec.n))
-        target = None
-        if adversary is not None and adversary.budget > 0:
-            target = near_consensus_target(spec.n, adversary.budget)
-        if spec.graph is not None:
-            opinions = counts_to_agents(
-                spec.initial_counts(), rng=rng, shuffle=True
-            )
-            engine = AgentEngine(
-                spec.resolved_dynamics(),
-                spec.graph,
-                opinions,
-                num_opinions=spec.k,
-                seed=rng,
-                adversary=adversary,
-            )
-        else:
-            engine = PopulationEngine(
-                spec.resolved_dynamics(),
-                spec.initial_counts(),
-                seed=rng,
-                adversary=adversary,
-            )
-        result = run_until_consensus(
-            engine, max_rounds=spec.round_budget(), target=target
-        )
-    return float(result.rounds) if result.converged else float("nan")
 
 
 def consensus_times_point_batch(
     params: Mapping, num_runs: int, seed: tuple
 ) -> tuple[float, ...]:
-    """Batched default point function: a whole grid point at once.
+    """Default point function: a whole grid point at once.
 
-    Measures all ``num_runs`` replicas of one grid point through the
-    vectorised sibling of the point's chain family (``batch`` for
-    population points, ``agent-batch`` for graph points, ``async-batch``
-    for asynchronous points) and returns the per-replica stopping
-    rounds the engines recorded per row (``ResultSet.consensus_times``;
-    for ``async-batch`` that is the sequential adapter's
-    ``ceil(ticks / n)`` convention, not the engine's floored
+    Measures all ``num_runs`` replicas of one grid point in one run of
+    the point's batch engine (``batch`` for population points,
+    ``agent-batch`` for graph points, ``async-batch`` for asynchronous
+    points) and returns the per-replica stopping rounds the engine
+    recorded per row (``ResultSet.consensus_times``; for
+    ``async-batch`` that is the ``ceil(ticks / n)`` synchronous-
+    equivalent convention, not the engine's floored
     ``consensus_rounds`` view) — NaN for censored rows, and for
     adversarial points the per-row near-consensus-``target`` stopping
     time on engines that support per-row targets (``batch`` /
-    ``agent-batch``), exactly like the sequential default.
+    ``agent-batch``).  ``async-batch`` has no custom-target support, so
+    adversarial async points measure strict consensus and a stalling
+    adversary surfaces as a censored NaN.
 
     ``seed`` is declarative (an int tuple derived by
     :func:`run_sweep` from the sweep seed and the point key), so the
     function pickles cleanly into the worker pool.  All replicas share
-    one stream: values are equal to sequential measurement in
-    distribution, not in realisation — which is why batched points
-    cache under distinct keys.
+    one stream.
     """
-    spec = spec_from_params(
-        params, replicas=int(num_runs), seed=seed, measure="batch"
-    )
+    spec = spec_from_params(params, replicas=int(num_runs), seed=seed)
     results = execute(spec)
     return tuple(float(value) for value in results.consensus_times)
 
@@ -413,42 +314,20 @@ class SweepSpec:
         ]
 
 
-def _point_key(params: Mapping, measure: str = "sequential") -> str:
+def _point_key(params: Mapping) -> str:
     """Stable filename stem for a point's parameter dict.
 
-    ``measure`` is a *versioned* component of the key: batched
-    measurement shares one stream across a point's replicas, so its
-    values are equal to sequential measurement in distribution but not
-    in realisation — a batched sweep must therefore never read a cache
-    file written by a sequential one (or vice versa).  Sequential keys
-    keep the historical parameters-only canonicalisation, so caches
-    from before the batch-first driver still resolve for
-    ``measure="sequential"``.
+    The key hashes the parameters plus a *versioned* measurement field.
+    Files written by the retired one-engine-per-replica measurement are
+    keyed by the parameters alone, so no sweep ever reads them: their
+    values came from different streams, equal to these in distribution
+    but not in realisation.  Such a point is re-measured under its
+    versioned key.
     """
     canon_params = {str(k): params[k] for k in sorted(params)}
-    if measure != "sequential":
-        canon_params["__measure__"] = f"{measure}/v1"
+    canon_params["__measure__"] = _MEASURE_VERSION
     canon = json.dumps(canon_params, sort_keys=True)
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
-
-
-def _measure_point(
-    point_function: PointFunction,
-    params: Mapping,
-    entropy: list[int],
-    num_runs: int,
-) -> tuple[float, ...]:
-    """Evaluate one grid point across its replica streams.
-
-    Module-level (not a closure) so that ``workers > 1`` can ship it to
-    a worker process; ``point_function`` must therefore be picklable —
-    the default and any other module-level function is.
-    """
-    point_seed = np.random.SeedSequence(entropy)
-    return tuple(
-        float(point_function(params, rng))
-        for rng in spawn_generators(point_seed, num_runs)
-    )
 
 
 def _measure_point_batch(
@@ -460,9 +339,10 @@ def _measure_point_batch(
     """Evaluate one grid point in a single batched engine run.
 
     The point's entropy doubles as the declarative spec seed (an int
-    tuple), so batched points are exactly as reproducible and
-    grid-independent as sequential ones — and the callable pickles into
-    the worker pool like :func:`_measure_point`.
+    tuple), so points are reproducible and grid-independent.
+    Module-level (not a closure) so that ``workers > 1`` can ship it to
+    a worker process; ``batch_point_function`` must therefore be
+    picklable — the default and any other module-level function is.
     """
     values = batch_point_function(
         params, num_runs, tuple(int(part) for part in entropy)
@@ -470,26 +350,9 @@ def _measure_point_batch(
     return tuple(float(value) for value in values)
 
 
-def _point_engine(params: Mapping, measure: str) -> str:
-    """The registered engine family a point's measurement runs.
-
-    Mirrors :func:`spec_from_params`' resolution (graph points run the
-    agent chain, the default is the population chain) plus the batch
-    sibling swap, so a point's provenance manifest names the engine
-    that actually produced its values.
-    """
-    engine = params.get("engine")
-    if "graph" in params and params["graph"] != "complete":
-        engine = "agent"
-    elif engine is None:
-        engine = "population"
-    return _BATCH_SIBLING[engine] if measure == "batch" else engine
-
-
 def _stamp_point_manifest(
     cache_file: Path,
     params: Mapping,
-    measure: str,
     num_runs: int,
     entropy: list[int],
 ) -> None:
@@ -514,7 +377,7 @@ def _stamp_point_manifest(
             "spec_hash": canon_hash(
                 {
                     "params": canon_params,
-                    "measure": f"{measure}/v1",
+                    "measure": _MEASURE_VERSION,
                     "num_runs": int(num_runs),
                 }
             ),
@@ -522,9 +385,9 @@ def _stamp_point_manifest(
             "backend": resolve_backend(
                 str(params.get("backend", AUTO_BACKEND))
             ).name,
-            "engine": _point_engine(params, measure),
+            "engine": _point_engine(params),
             "seed_entropy": [int(part) for part in entropy],
-            "measure": measure,
+            "measure": _MEASURE,
         },
     )
 
@@ -591,10 +454,9 @@ def _write_point_atomic(cache_file: Path, payload: dict) -> None:
 
 def run_sweep(
     spec: SweepSpec,
-    point_function: PointFunction = consensus_time_point,
     cache_dir: str | Path | None = None,
     workers: int | None = None,
-    measure: str | None = None,
+    measure: str = _MEASURE,
     batch_point_function: BatchPointFunction | None = None,
     on_error: str = "raise",
     on_corrupt: str = "raise",
@@ -602,9 +464,13 @@ def run_sweep(
 ) -> list[SweepPoint]:
     """Measure every grid point, loading cached points where present.
 
-    Seeds are derived per point from ``(spec.seed entropy, point key)``
+    Each uncached point is measured by one
+    ``batch_point_function(params, spec.num_runs, seed)`` call (default
+    :func:`consensus_times_point_batch`).  Seeds are derived per point
+    from ``(spec.seed entropy, point key)`` as a declarative int tuple,
     so a point's result is independent of the rest of the grid — adding
     grid values later never changes previously measured points.
+    ``measure`` names the measurement mode; ``"batch"`` is the only one.
 
     ``on_error`` controls what a failing point does to the sweep:
     ``"raise"`` (default) finishes and caches every other point, then
@@ -630,22 +496,9 @@ def run_sweep(
     heartbeats to an external store.  Exceptions from the callback
     propagate; keep it cheap and non-raising.
 
-    ``measure`` selects how a point's ``num_runs`` replicas are
-    evaluated: ``"batch"`` (one vectorised engine run per point, via
-    ``batch_point_function`` — default
-    :func:`consensus_times_point_batch`) or ``"sequential"`` (one
-    ``point_function`` call per replica stream).  The default (``None``)
-    resolves to ``"batch"`` for the default point function and to
-    ``"sequential"`` when a custom ``point_function`` is given — a
-    custom sequential function cannot be batched implicitly, so asking
-    for ``measure="batch"`` with one (and no ``batch_point_function``)
-    raises.  The two modes measure the same chains but cache under
-    distinct, versioned keys (see :func:`_point_key`) and are never
-    silently mixed.
-
     ``workers`` (when > 1) evaluates uncached points process-parallel
     with :class:`concurrent.futures.ProcessPoolExecutor`; results and
-    cache files are identical to a sequential run because every point
+    cache files are identical to an in-process run because every point
     owns its seed stream.  Completed points are consumed as they finish
     (``as_completed``), so one slow point never delays the cache writes
     of the points behind it and an interrupted or partially failed
@@ -666,24 +519,15 @@ def run_sweep(
             f"on_corrupt must be 'raise' or 'remeasure', "
             f"got {on_corrupt!r}"
         )
-    if measure is None:
-        if batch_point_function is not None:
-            measure = "batch"
-        elif point_function is consensus_time_point:
-            measure = "batch"
-        else:
-            measure = "sequential"
-    if measure not in ("batch", "sequential"):
+    if measure != _MEASURE:
         raise ConfigurationError(
-            f"measure must be 'batch' or 'sequential', got {measure!r}"
+            f"measure must be {_MEASURE!r} (sweep points are measured "
+            f"by the batch engines only), got {measure!r}"
         )
-    if measure == "batch" and batch_point_function is None:
-        if point_function is not consensus_time_point:
-            raise ConfigurationError(
-                "measure='batch' cannot batch a custom sequential "
-                "point_function; pass measure='sequential' or provide "
-                "a batch_point_function(params, num_runs, seed)"
-            )
+    if batch_point_function is None:
+        # Looked up per call rather than bound as the default, so a
+        # wrap installed on the module attribute (a profiler, the
+        # benchmark tracer) sees every point measured.
         batch_point_function = consensus_times_point_batch
     cache = Path(cache_dir) if cache_dir is not None else None
     if cache is not None:
@@ -704,7 +548,7 @@ def run_sweep(
     results: list[SweepPoint | None] = []
     pending: list[tuple[int, dict, Path | None, list[int]]] = []
     for params in all_points:
-        key = _point_key(params, measure)
+        key = _point_key(params)
         cache_file = cache / f"{key}.json" if cache is not None else None
         if cache_file is not None and cache_file.exists():
             # A cached point must decode cleanly before its values are
@@ -738,14 +582,6 @@ def run_sweep(
         results.append(None)
         pending.append((len(results) - 1, dict(params), cache_file, entropy))
 
-    # One dispatch for both execution branches: the worker pool ships
-    # (measure_fn, fn) to subprocesses, the sequential loop calls them
-    # directly, so the two paths can never disagree on the mode.
-    if measure == "batch":
-        measure_fn, fn = _measure_point_batch, batch_point_function
-    else:
-        measure_fn, fn = _measure_point, point_function
-
     def _finish(entry, values) -> None:
         # Cache files are written per point, as soon as its values are
         # in hand, so an interrupted sweep keeps every finished point.
@@ -759,11 +595,11 @@ def run_sweep(
                 {
                     "params": point.params,
                     "values": list(values),
-                    "measure": measure,
+                    "measure": _MEASURE,
                 },
             )
             _stamp_point_manifest(
-                cache_file, params, measure, spec.num_runs, entropy
+                cache_file, params, spec.num_runs, entropy
             )
         results[index] = point
         _advance(point)
@@ -786,7 +622,11 @@ def run_sweep(
             for entry in pending:
                 _, params, _, entropy = entry
                 future = pool.submit(
-                    measure_fn, fn, params, entropy, spec.num_runs
+                    _measure_point_batch,
+                    batch_point_function,
+                    params,
+                    entropy,
+                    spec.num_runs,
                 )
                 future_entries[future] = entry
             # Consume in completion order so a slow point never blocks
@@ -813,7 +653,9 @@ def run_sweep(
         for entry in pending:
             _, params, _, entropy = entry
             try:
-                values = measure_fn(fn, params, entropy, spec.num_runs)
+                values = _measure_point_batch(
+                    batch_point_function, params, entropy, spec.num_runs
+                )
             except Exception as exc:
                 if on_error == "skip":
                     _finish_failed(entry, exc)

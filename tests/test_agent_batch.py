@@ -153,10 +153,10 @@ class TestDistributionalEquivalence:
         assert p_value > 1e-3, (statistic, p_value)
 
     def test_chunked_and_unchunked_sample_the_same_law(self):
-        # element_budget changes how the raw stream is consumed (and so
-        # the realisation), but never the sampled law — including on the
-        # power-of-two raw-bit sampling path, where chunking rounds the
-        # per-call draw to word granularity.
+        # batch_element_budget changes how the raw stream is consumed
+        # (and so the realisation), but never the sampled law —
+        # including on the power-of-two raw-bit sampling path, where
+        # chunking rounds the per-call draw to word granularity.
         graph = random_regular(128, 7, seed=2)  # degree 8: pow2 path
         counts = balanced(128, 4)
 
@@ -165,13 +165,11 @@ class TestDistributionalEquivalence:
             opinions = rng.permuted(
                 np.tile(counts_to_agents(counts), (60, 1)), axis=1
             )
+            dynamics = ThreeMajority()
+            if budget is not None:
+                dynamics.batch_element_budget = budget
             engine = BatchAgentEngine(
-                ThreeMajority(),
-                graph,
-                opinions,
-                num_opinions=4,
-                seed=rng,
-                element_budget=budget,
+                dynamics, graph, opinions, num_opinions=4, seed=rng
             )
             return [r.rounds for r in engine.run_until_consensus(10_000)]
 
@@ -611,7 +609,7 @@ class TestSweepGraphDimension:
                 "graph_seed": 5,
             }
         )
-        assert spec.engine == "agent"
+        assert spec.engine == "agent-batch"
         assert spec.graph is not None
         assert spec.graph.num_vertices == 64
 
@@ -619,7 +617,7 @@ class TestSweepGraphDimension:
         from repro.sweep import spec_from_params
 
         spec = spec_from_params({"n": 64, "k": 2, "graph": "complete"})
-        assert spec.engine == "population"
+        assert spec.engine == "batch"
         assert spec.graph is None
 
     def test_graph_points_hash_to_distinct_cache_keys(self):
@@ -633,10 +631,10 @@ class TestSweepGraphDimension:
         }
         assert len(keys) == 4
 
-    def test_consensus_time_point_on_graph(self):
-        from repro.sweep import consensus_time_point
+    def test_consensus_times_point_on_graph(self):
+        from repro.sweep import consensus_times_point_batch
 
-        value = consensus_time_point(
+        values = consensus_times_point_batch(
             {
                 "n": 64,
                 "k": 2,
@@ -644,9 +642,10 @@ class TestSweepGraphDimension:
                 "degree": 3,
                 "graph_seed": 1,
             },
-            np.random.default_rng(0),
+            3,
+            (0,),
         )
-        assert np.isfinite(value) and value > 0
+        assert all(np.isfinite(v) and v > 0 for v in values)
 
     def test_make_graph_families(self):
         assert make_graph("complete", 10).num_vertices == 10

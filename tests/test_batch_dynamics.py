@@ -10,7 +10,7 @@ gained ``population_step_batch`` overrides:
   (one *decided* opinion holds everything; all-undecided is censored,
   never a winner) as seen through the batch engine;
 * **helper contracts** — the batched sampling primitives, the
-  row-chunking memory guard and the engine's element-budget knob;
+  row-chunking memory guard and the dynamics' element-budget knob;
 * **no-row-loop guard** — every catalogued dynamics must keep its
   vectorised override (also enforced by the CI benchmark job via
   ``benchmarks/bench_batch_dynamics.py``).
@@ -264,28 +264,32 @@ class TestBatchedSamplingHelpers:
         assert list(iter_row_chunks(2, 100, 10)) == [(0, 1), (1, 2)]
 
     def test_engine_element_budget_knob(self):
-        dynamics = MedianRule()
-        dynamics.batch_element_budget = 9999
-        engine = BatchPopulationEngine(
-            dynamics,
-            balanced(64, 4),
-            num_replicas=2,
-            seed=0,
-            element_budget=1234,
+        """The budget on the dynamics instance is the one knob: the
+        engine steps the caller's instance, and a budget that splits
+        every row into its own chunk changes no draw."""
+        counts = balanced(2048, 16)
+        whole = BatchPopulationEngine(
+            MedianRule(), counts, num_replicas=6, seed=3
         )
-        assert engine.dynamics.batch_element_budget == 1234
-        # The caller's instance keeps its own budget (no shared-state
-        # mutation across engines).
-        assert dynamics.batch_element_budget == 9999
+        dynamics = MedianRule()
+        dynamics.batch_element_budget = 1
+        chunk_rows = []
+        step_rows = dynamics._step_rows
 
-    def test_engine_rejects_bad_element_budget(self):
-        with pytest.raises(ConfigurationError, match="element_budget"):
-            BatchPopulationEngine(
-                MedianRule(),
-                balanced(64, 4),
-                num_replicas=2,
-                element_budget=0,
-            )
+        def spy(rows, rng):
+            chunk_rows.append(len(rows))
+            return step_rows(rows, rng)
+
+        dynamics._step_rows = spy
+        chunked = BatchPopulationEngine(
+            dynamics, counts, num_replicas=6, seed=3
+        )
+        assert chunked.dynamics is dynamics
+        for _ in range(5):
+            whole.step()
+            chunked.step()
+        assert set(chunk_rows) == {1}
+        assert np.array_equal(whole.counts, chunked.counts)
 
     def test_sample_opinions_batch_rowwise_law(self):
         rng = np.random.default_rng(0)

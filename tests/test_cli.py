@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
 from repro.cli import main
@@ -290,23 +293,15 @@ class TestSweepCommand:
         assert "Consensus-time sweep (4 points" in out
         assert "median T" in out
 
-    def test_measure_sequential_opt_out(self, capsys):
-        code = main(
-            [
-                "sweep",
-                "--n",
-                "256",
-                "--k",
-                "2",
-                "--runs",
-                "2",
-                "--measure",
-                "sequential",
-            ]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "measure=sequential" in out
+    @pytest.mark.parametrize("command", ["sweep", "submit"])
+    def test_measure_flag_is_gone(self, command, capsys):
+        args = [command, "--n", "256", "--k", "2", "--measure", "batch"]
+        if command == "submit":
+            args += ["--url", "http://127.0.0.1:9"]
+        with pytest.raises(SystemExit) as info:
+            main(args)
+        assert info.value.code == 2
+        assert "--measure" in capsys.readouterr().err
 
     def test_async_chain_sweep(self, capsys):
         code = main(
@@ -347,6 +342,8 @@ class TestSweepCommand:
         assert "complete graph" in out
 
     def test_measure_modes_cache_separately(self, tmp_path, capsys):
+        """A file left by an old sequential sweep (keyed by the params
+        alone) sits beside the batch file and is never read."""
         args = [
             "sweep",
             "--n",
@@ -359,10 +356,25 @@ class TestSweepCommand:
             str(tmp_path),
         ]
         assert main(args) == 0
-        assert len(list(tmp_path.glob("*.json"))) == 1
-        assert main(args + ["--measure", "sequential"]) == 0
-        capsys.readouterr()
-        assert len(list(tmp_path.glob("*.json"))) == 2
+        table = capsys.readouterr().out.split("elapsed:")[0]
+        (batch_file,) = tmp_path.glob("*.json")
+        params = json.loads(batch_file.read_text())["params"]
+        batch_file.unlink()
+        canon = json.dumps(
+            {k: params[k] for k in sorted(params)}, sort_keys=True
+        )
+        old = tmp_path / (
+            hashlib.sha256(canon.encode()).hexdigest()[:16] + ".json"
+        )
+        old_document = json.dumps(
+            {"params": params, "values": [-1.0, -1.0],
+             "measure": "sequential"}
+        )
+        old.write_text(old_document)
+        assert main(args) == 0
+        assert capsys.readouterr().out.split("elapsed:")[0] == table
+        assert sorted(tmp_path.glob("*.json")) == sorted([old, batch_file])
+        assert old.read_text() == old_document
 
     def test_multiple_dynamics_axis(self, capsys):
         code = main(

@@ -204,16 +204,28 @@ class TestTwoChoicesLaw:
         var_ratio = group_samples.var(axis=0) / pair_samples.var(axis=0)
         assert np.all((var_ratio > 0.8) & (var_ratio < 1.25))
 
-    def test_threshold_dispatch(self, rng):
-        # Tiny threshold forces the pair strategy even for small support.
-        dynamics = TwoChoices(group_step_threshold=1e-9)
-        counts = np.asarray([50, 50], dtype=np.int64)
-        new = dynamics.population_step(counts, rng)
-        assert new.sum() == 100
+    @pytest.mark.parametrize(
+        "counts, strategy",
+        [
+            ([50, 50], "groups"),  # a^2 = 4 <= 4n
+            ([1] * 30, "pairs"),  # a^2 = 900 > 4n = 120
+        ],
+    )
+    def test_threshold_dispatch(self, counts, strategy, rng, monkeypatch):
+        dynamics = TwoChoices()
+        called = []
+        for name in ("groups", "pairs"):
+            original = getattr(dynamics, f"_population_step_{name}")
 
-    def test_bad_threshold(self):
-        with pytest.raises(ValueError):
-            TwoChoices(group_step_threshold=0.0)
+            def spy(*args, _name=name, _original=original):
+                called.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(dynamics, f"_population_step_{name}", spy)
+        counts = np.asarray(counts, dtype=np.int64)
+        new = dynamics.population_step(counts, rng)
+        assert called == [strategy]
+        assert new.sum() == counts.sum()
 
     def test_population_step_matches_mean(self, rng):
         n = 100_000

@@ -18,6 +18,8 @@ import subprocess
 import sys
 import threading
 import time
+import urllib.error
+import urllib.request
 from pathlib import Path
 
 import pytest
@@ -51,11 +53,11 @@ def _spec(ns=(64,), k=2, runs=2, seed=1, **kwargs) -> JobSpec:
     )
 
 
-def _explode_on_n128(params, rng):
+def _explode_on_n128(params, num_runs, seed):
     """Module-level point function failing on exactly one grid point."""
     if params["n"] == 128:
         raise RuntimeError("measurement exploded")
-    return 1.0
+    return (1.0,) * num_runs
 
 
 def _wait_for(predicate, timeout=20.0, interval=0.02) -> bool:
@@ -92,9 +94,20 @@ class TestJobSpec:
         with pytest.raises(ConfigurationError, match="grid"):
             JobSpec.from_mapping({"num_runs": 3})
 
-    def test_rejects_bad_measure(self):
+    @pytest.mark.parametrize("measure", ["sequential", "telepathy"])
+    def test_rejects_non_batch_measure(self, measure):
         with pytest.raises(ConfigurationError, match="measure"):
-            _spec(measure="telepathy")
+            JobSpec.from_mapping(
+                {"grid": {"n": [64], "k": [2]}, "measure": measure}
+            )
+
+    def test_legacy_batch_measure_field_still_loads(self):
+        """Old clients send, and old job rows store, measure=batch."""
+        legacy = JobSpec.from_mapping(
+            {"grid": {"n": [64], "k": [2]}, "measure": "batch"}
+        )
+        assert legacy == JobSpec.from_mapping({"grid": {"n": [64], "k": [2]}})
+        assert "measure" not in json.loads(legacy.canonical_json())
 
     def test_validates_points_eagerly(self):
         # n=2, k=4 is an impossible configuration; must fail at
@@ -543,6 +556,31 @@ class TestHTTPAPI:
         with pytest.raises(ConfigurationError):
             client.submit({"num_runs": 3})
 
+    def test_measure_field_over_http(self, idle_service):
+        """measure=sequential answers 400; measure=batch still loads."""
+
+        def post(spec):
+            request = urllib.request.Request(
+                f"{idle_service.url}/jobs",
+                data=json.dumps({"client": "legacy", "spec": spec}).encode(),
+                headers={"Content-Type": "application/json"},
+                method="POST",
+            )
+            try:
+                with urllib.request.urlopen(request, timeout=10) as reply:
+                    return reply.status, json.loads(reply.read())
+            except urllib.error.HTTPError as error:
+                return error.code, json.loads(error.read())
+
+        grid = {"n": [64], "k": [2]}
+        status, body = post({"grid": grid, "measure": "sequential"})
+        assert status == 400
+        assert "measure" in body["error"]
+        status, body = post({"grid": grid, "measure": "batch"})
+        assert status == 201
+        job = ServiceClient(idle_service.url).status(body["id"])
+        assert job["state"] == "queued"
+
     def test_quota_rejected_over_http(self, service):
         client = ServiceClient(service.url, client_id="greedy")
         with pytest.raises(QuotaExceededError, match="per-job"):
@@ -821,8 +859,7 @@ class TestResultDocument:
         def runner(job, progress):
             points = run_sweep(
                 job.spec.to_sweep_spec(),
-                point_function=_explode_on_n128,
-                measure="sequential",
+                batch_point_function=_explode_on_n128,
                 on_error="skip",
                 progress=lambda done, total, _point: progress(
                     done, total

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from scipy.stats import ks_2samp
 
 from repro.errors import CacheIntegrityError, ConfigurationError
+from repro.simulation import SimulationSpec, execute
 from repro.sweep import (
     SweepPoint,
     SweepSpec,
@@ -16,19 +18,31 @@ from repro.sweep import (
     run_sweep,
     spec_from_params,
 )
-from repro.sweep.grid import _point_key, _seed_entropy, consensus_time_point
+from repro.sweep.grid import _point_key, _seed_entropy
 
 
-def _cheap_point(params, rng):
+def _cheap_point(params, num_runs, seed):
     """Deterministic-ish fast point function for driver tests."""
-    return float(params["x"] * 10 + rng.integers(0, 3))
+    rng = np.random.default_rng(seed)
+    return tuple(
+        float(params["x"] * 10 + draw)
+        for draw in rng.integers(0, 3, size=num_runs)
+    )
 
 
-def _explodes_on_x3(params, rng):
+def _explodes_on_x3(params, num_runs, seed):
     """Module-level (picklable) point function failing on one point."""
     if params["x"] == 3:
         raise RuntimeError("boom")
-    return float(params["x"])
+    return (float(params["x"]),) * num_runs
+
+
+def _params_only_key(params):
+    """The cache key of the retired per-replica measurement."""
+    canon = json.dumps(
+        {str(k): params[k] for k in sorted(params)}, sort_keys=True
+    )
+    return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
 def _hammer_shared_cache(args):
@@ -38,7 +52,7 @@ def _hammer_shared_cache(args):
         grid={"x": list(range(grid_size))}, num_runs=2, seed=0
     )
     points = run_sweep(
-        spec, point_function=_cheap_point, cache_dir=cache_dir
+        spec, batch_point_function=_cheap_point, cache_dir=cache_dir
     )
     return [point.values for point in points]
 
@@ -81,7 +95,7 @@ class TestSweepPoint:
 class TestRunSweep:
     def test_basic_run(self):
         spec = SweepSpec(grid={"x": [1, 2, 3]}, num_runs=4, seed=0)
-        results = run_sweep(spec, point_function=_cheap_point)
+        results = run_sweep(spec, batch_point_function=_cheap_point)
         assert len(results) == 3
         for point in results:
             assert len(point.values) == 4
@@ -89,52 +103,56 @@ class TestRunSweep:
 
     def test_reproducible(self):
         spec = SweepSpec(grid={"x": [1, 2]}, num_runs=3, seed=5)
-        a = run_sweep(spec, point_function=_cheap_point)
-        b = run_sweep(spec, point_function=_cheap_point)
+        a = run_sweep(spec, batch_point_function=_cheap_point)
+        b = run_sweep(spec, batch_point_function=_cheap_point)
         assert [p.values for p in a] == [p.values for p in b]
 
     def test_point_independent_of_grid(self):
         """Adding grid values never changes existing points."""
         small = SweepSpec(grid={"x": [1]}, num_runs=3, seed=5)
         big = SweepSpec(grid={"x": [1, 2, 3]}, num_runs=3, seed=5)
-        a = run_sweep(small, point_function=_cheap_point)
-        b = run_sweep(big, point_function=_cheap_point)
+        a = run_sweep(small, batch_point_function=_cheap_point)
+        b = run_sweep(big, batch_point_function=_cheap_point)
         assert a[0].values == b[0].values
 
     def test_cache_roundtrip(self, tmp_path):
         spec = SweepSpec(grid={"x": [1, 2]}, num_runs=2, seed=1)
         first = run_sweep(
-            spec, point_function=_cheap_point, cache_dir=tmp_path
+            spec, batch_point_function=_cheap_point, cache_dir=tmp_path
         )
         assert len(list(tmp_path.glob("*.json"))) == 2
 
         calls = []
 
-        def spy(params, rng):
+        def spy(params, num_runs, seed):
             calls.append(params)
-            return 0.0
+            return (0.0,) * num_runs
 
-        second = run_sweep(spec, point_function=spy, cache_dir=tmp_path)
+        second = run_sweep(
+            spec, batch_point_function=spy, cache_dir=tmp_path
+        )
         assert not calls  # everything came from cache
         assert [p.values for p in first] == [p.values for p in second]
 
     def test_cache_resume_partial(self, tmp_path):
         spec1 = SweepSpec(grid={"x": [1]}, num_runs=2, seed=1)
-        run_sweep(spec1, point_function=_cheap_point, cache_dir=tmp_path)
+        run_sweep(spec1, batch_point_function=_cheap_point, cache_dir=tmp_path)
         spec2 = SweepSpec(grid={"x": [1, 2]}, num_runs=2, seed=1)
         calls = []
 
-        def counting(params, rng):
+        def counting(params, num_runs, seed):
             calls.append(params["x"])
-            return _cheap_point(params, rng)
+            return _cheap_point(params, num_runs, seed)
 
-        run_sweep(spec2, point_function=counting, cache_dir=tmp_path)
-        # Only the new point was measured (once per seed), never x = 1.
-        assert calls == [2, 2]
+        run_sweep(
+            spec2, batch_point_function=counting, cache_dir=tmp_path
+        )
+        # Only the new point was measured (once per point), never x = 1.
+        assert calls == [2]
 
     def test_cache_files_valid_json(self, tmp_path):
         spec = SweepSpec(grid={"x": [7]}, num_runs=1, seed=0)
-        run_sweep(spec, point_function=_cheap_point, cache_dir=tmp_path)
+        run_sweep(spec, batch_point_function=_cheap_point, cache_dir=tmp_path)
         (path,) = tmp_path.glob("*.json")
         payload = json.loads(path.read_text())
         assert payload["params"] == {"x": 7}
@@ -144,13 +162,13 @@ class TestRunSweep:
         self, tmp_path
     ):
         spec = SweepSpec(grid={"x": [7]}, num_runs=1, seed=0)
-        run_sweep(spec, point_function=_cheap_point, cache_dir=tmp_path)
+        run_sweep(spec, batch_point_function=_cheap_point, cache_dir=tmp_path)
         (path,) = tmp_path.glob("*.json")
         # Simulate a crash mid-write / disk truncation.
         path.write_bytes(path.read_bytes()[: len(path.read_bytes()) // 2])
         with pytest.raises(CacheIntegrityError) as excinfo:
             run_sweep(
-                spec, point_function=_cheap_point, cache_dir=tmp_path
+                spec, batch_point_function=_cheap_point, cache_dir=tmp_path
             )
         message = str(excinfo.value)
         assert path.name in message
@@ -160,14 +178,14 @@ class TestRunSweep:
         self, tmp_path
     ):
         spec = SweepSpec(grid={"x": [7]}, num_runs=1, seed=0)
-        run_sweep(spec, point_function=_cheap_point, cache_dir=tmp_path)
+        run_sweep(spec, batch_point_function=_cheap_point, cache_dir=tmp_path)
         (path,) = tmp_path.glob("*.json")
         payload = json.loads(path.read_text())
         del payload["values"]
         path.write_text(json.dumps(payload))
         with pytest.raises(CacheIntegrityError):
             run_sweep(
-                spec, point_function=_cheap_point, cache_dir=tmp_path
+                spec, batch_point_function=_cheap_point, cache_dir=tmp_path
             )
 
     def test_point_key_stable_under_ordering(self):
@@ -176,17 +194,17 @@ class TestRunSweep:
     def test_bad_seed_type(self):
         spec = SweepSpec(grid={"x": [1]}, seed=np.random.default_rng(0))
         with pytest.raises(ConfigurationError, match="stable"):
-            run_sweep(spec, point_function=_cheap_point)
+            run_sweep(spec, batch_point_function=_cheap_point)
 
     def test_tuple_seed_order_matters(self):
         """Regression: (1, 2) and (2, 1) used to collapse (summed)."""
         a = run_sweep(
             SweepSpec(grid={"x": [1]}, num_runs=6, seed=(1, 2)),
-            point_function=_cheap_point,
+            batch_point_function=_cheap_point,
         )
         b = run_sweep(
             SweepSpec(grid={"x": [1]}, num_runs=6, seed=(2, 1)),
-            point_function=_cheap_point,
+            batch_point_function=_cheap_point,
         )
         assert a[0].values != b[0].values
 
@@ -198,9 +216,9 @@ class TestRunSweep:
 
     def test_workers_match_sequential(self, tmp_path):
         spec = SweepSpec(grid={"x": [1, 2, 3]}, num_runs=3, seed=8)
-        sequential = run_sweep(spec, point_function=_cheap_point)
+        sequential = run_sweep(spec, batch_point_function=_cheap_point)
         parallel = run_sweep(
-            spec, point_function=_cheap_point, workers=2
+            spec, batch_point_function=_cheap_point, workers=2
         )
         assert [p.values for p in sequential] == [
             p.values for p in parallel
@@ -210,18 +228,18 @@ class TestRunSweep:
         spec = SweepSpec(grid={"x": [1, 2]}, num_runs=2, seed=1)
         run_sweep(
             spec,
-            point_function=_cheap_point,
+            batch_point_function=_cheap_point,
             cache_dir=tmp_path,
             workers=2,
         )
         assert len(list(tmp_path.glob("*.json"))) == 2
         calls = []
 
-        def spy(params, rng):
+        def spy(params, num_runs, seed):
             calls.append(params)
-            return 0.0
+            return (0.0,) * num_runs
 
-        run_sweep(spec, point_function=spy, cache_dir=tmp_path)
+        run_sweep(spec, batch_point_function=spy, cache_dir=tmp_path)
         assert not calls
 
     def test_cache_written_incrementally(self, tmp_path):
@@ -229,16 +247,16 @@ class TestRunSweep:
         spec = SweepSpec(grid={"x": [1, 2, 3]}, num_runs=1, seed=0)
         seen = []
 
-        def explodes_on_third(params, rng):
+        def explodes_on_third(params, num_runs, seed):
             seen.append(params["x"])
             if len(seen) == 3:
                 raise RuntimeError("boom")
-            return float(params["x"])
+            return (float(params["x"]),) * num_runs
 
         with pytest.raises(RuntimeError):
             run_sweep(
                 spec,
-                point_function=explodes_on_third,
+                batch_point_function=explodes_on_third,
                 cache_dir=tmp_path,
             )
         assert len(list(tmp_path.glob("*.json"))) == 2
@@ -246,13 +264,13 @@ class TestRunSweep:
     def test_rejects_nonpositive_workers(self):
         spec = SweepSpec(grid={"x": [1]})
         with pytest.raises(ConfigurationError, match="workers"):
-            run_sweep(spec, point_function=_cheap_point, workers=0)
+            run_sweep(spec, batch_point_function=_cheap_point, workers=0)
 
     def test_rejects_bad_on_error(self):
         spec = SweepSpec(grid={"x": [1]})
         with pytest.raises(ConfigurationError, match="on_error"):
             run_sweep(
-                spec, point_function=_cheap_point, on_error="ignore"
+                spec, batch_point_function=_cheap_point, on_error="ignore"
             )
 
     def test_raise_names_the_offending_point(self):
@@ -261,7 +279,7 @@ class TestRunSweep:
 
         spec = SweepSpec(grid={"x": [1, 2, 3]}, num_runs=1, seed=0)
         with pytest.raises(SweepPointError, match="'x': 3") as info:
-            run_sweep(spec, point_function=_explodes_on_x3)
+            run_sweep(spec, batch_point_function=_explodes_on_x3)
         assert info.value.params == {"x": 3}
         assert isinstance(info.value.__cause__, RuntimeError)
         assert "boom" in str(info.value)
@@ -272,14 +290,14 @@ class TestRunSweep:
         spec = SweepSpec(grid={"x": [1, 2, 3]}, num_runs=1, seed=0)
         with pytest.raises(SweepPointError, match="'x': 3"):
             run_sweep(
-                spec, point_function=_explodes_on_x3, workers=2
+                spec, batch_point_function=_explodes_on_x3, workers=2
             )
 
     def test_skip_records_failure_and_keeps_going(self, tmp_path):
         spec = SweepSpec(grid={"x": [1, 2, 3, 4]}, num_runs=1, seed=0)
         points = run_sweep(
             spec,
-            point_function=_explodes_on_x3,
+            batch_point_function=_explodes_on_x3,
             cache_dir=tmp_path,
             on_error="skip",
         )
@@ -297,7 +315,7 @@ class TestRunSweep:
         spec = SweepSpec(grid={"x": [1, 2, 3, 4]}, num_runs=1, seed=0)
         points = run_sweep(
             spec,
-            point_function=_explodes_on_x3,
+            batch_point_function=_explodes_on_x3,
             cache_dir=tmp_path,
             on_error="skip",
             workers=2,
@@ -310,14 +328,14 @@ class TestRunSweep:
     def test_progress_reports_every_point(self, tmp_path):
         spec = SweepSpec(grid={"x": [1, 2, 3]}, num_runs=1, seed=0)
         run_sweep(
-            spec, point_function=_cheap_point, cache_dir=tmp_path
+            spec, batch_point_function=_cheap_point, cache_dir=tmp_path
         )
         calls = []
         # Second run: all three points come from the cache and must
         # still be reported.
         points = run_sweep(
             spec,
-            point_function=_cheap_point,
+            batch_point_function=_cheap_point,
             cache_dir=tmp_path,
             progress=lambda done, total, point: calls.append(
                 (done, total, point.params["x"])
@@ -332,7 +350,7 @@ class TestRunSweep:
         calls = []
         run_sweep(
             spec,
-            point_function=_explodes_on_x3,
+            batch_point_function=_explodes_on_x3,
             on_error="skip",
             progress=lambda done, total, point: calls.append(done),
         )
@@ -341,7 +359,7 @@ class TestRunSweep:
     def test_atomic_cache_write_leaves_no_temp_files(self, tmp_path):
         spec = SweepSpec(grid={"x": [1, 2]}, num_runs=1, seed=0)
         run_sweep(
-            spec, point_function=_cheap_point, cache_dir=tmp_path
+            spec, batch_point_function=_cheap_point, cache_dir=tmp_path
         )
         assert not list(tmp_path.glob("*.tmp"))
         assert not list(tmp_path.glob(".*"))
@@ -384,7 +402,7 @@ class TestRunSweep:
         with pytest.raises(RuntimeError, match="boom"):
             run_sweep(
                 spec,
-                point_function=_explodes_on_x3,
+                batch_point_function=_explodes_on_x3,
                 cache_dir=tmp_path,
                 workers=2,
             )
@@ -500,20 +518,26 @@ class TestAdversarialCacheKeys:
         assert all(v > 0 for v in by_budget[2])
 
 
-class TestConsensusTimePoint:
-    def test_measures_real_dynamics(self, rng):
-        value = consensus_time_point(
-            {"dynamics": "3-majority", "n": 512, "k": 4}, rng
-        )
-        assert value > 0
+class TestConsensusTimesPointBatch:
+    """The default point function on the chains a point can name."""
 
-    def test_censoring_returns_nan(self, rng):
-        value = consensus_time_point(
+    @pytest.mark.parametrize("dynamics", ["3-majority", "2-choices"])
+    def test_measures_real_dynamics(self, dynamics):
+        values = consensus_times_point_batch(
+            {"dynamics": dynamics, "n": 512, "k": 4}, 3, (0,)
+        )
+        assert len(values) == 3
+        assert all(np.isfinite(v) and v > 0 for v in values)
+
+    def test_censoring_returns_nan(self):
+        values = consensus_times_point_batch(
             {"dynamics": "2-choices", "n": 4096, "k": 512,
              "max_rounds": 2},
-            rng,
+            3,
+            (0,),
         )
-        assert np.isnan(value)
+        assert len(values) == 3
+        assert all(np.isnan(v) for v in values)
 
     def test_end_to_end_sweep(self, tmp_path):
         spec = SweepSpec(
@@ -526,8 +550,8 @@ class TestConsensusTimePoint:
         medians = {p.params["k"]: p.median for p in results}
         assert medians[8] > 0 and medians[2] > 0
 
-    def test_adversarial_point_measures_threshold_time(self, rng):
-        value = consensus_time_point(
+    def test_adversarial_point_measures_threshold_time(self):
+        values = consensus_times_point_batch(
             {
                 "dynamics": "3-majority",
                 "n": 512,
@@ -535,18 +559,19 @@ class TestConsensusTimePoint:
                 "adversary": "runner-up",
                 "adversary_budget": 2,
             },
-            rng,
+            3,
+            (0,),
         )
-        assert value > 0
+        assert all(np.isfinite(v) and v > 0 for v in values)
 
-    def test_adversarial_point_can_censor(self, rng):
+    def test_adversarial_point_can_censor(self):
         """A huge stalling budget exhausts the window -> NaN.
 
         With F = 30 on n = 512, k = 2 the adversary re-pins the top two
         opinions together after every round (gap <= 2F is halved to
         <= 1), so the n - 4F = 392 threshold stays out of reach.
         """
-        value = consensus_time_point(
+        values = consensus_times_point_batch(
             {
                 "dynamics": "3-majority",
                 "n": 512,
@@ -555,18 +580,19 @@ class TestConsensusTimePoint:
                 "adversary": "runner-up",
                 "adversary_budget": 30,
             },
-            rng,
+            3,
+            (0,),
         )
-        assert np.isnan(value)
+        assert all(np.isnan(v) for v in values)
 
-    def test_huge_budget_is_not_an_instant_success(self, rng):
+    def test_huge_budget_is_not_an_instant_success(self):
         """The majority floor keeps n - 4F thresholds meaningful.
 
         With F = 200 on n = 1000, k = 2 the raw n - 4F = 200 threshold
         would be satisfied by the balanced start itself, reporting the
         strongest adversary as an instant (round-0) success.
         """
-        value = consensus_time_point(
+        values = consensus_times_point_batch(
             {
                 "dynamics": "3-majority",
                 "n": 1000,
@@ -575,26 +601,30 @@ class TestConsensusTimePoint:
                 "adversary": "runner-up",
                 "adversary_budget": 200,
             },
-            rng,
+            3,
+            (0,),
         )
-        assert np.isnan(value)  # a stall, not a round-0 "success"
+        # A stall, not a round-0 "success".
+        assert all(np.isnan(v) for v in values)
 
-    def test_async_engine_point(self, rng):
+    def test_async_engine_point(self):
         """engine='async' measures the tick chain in sync-equiv rounds."""
-        value = consensus_time_point(
+        values = consensus_times_point_batch(
             {"dynamics": "3-majority", "n": 128, "k": 2,
              "engine": "async"},
-            rng,
+            3,
+            (0,),
         )
-        assert value > 0
+        assert all(np.isfinite(v) and v > 0 for v in values)
 
-    def test_async_engine_point_can_censor(self, rng):
-        value = consensus_time_point(
+    def test_async_engine_point_can_censor(self):
+        values = consensus_times_point_batch(
             {"dynamics": "3-majority", "n": 512, "k": 64,
              "engine": "async", "max_rounds": 1},
-            rng,
+            3,
+            (0,),
         )
-        assert np.isnan(value)
+        assert all(np.isnan(v) for v in values)
 
 
 class TestSpecFromParamsEngines:
@@ -627,13 +657,9 @@ class TestSpecFromParamsEngines:
         params = dict(self.BASE)
         if engine is not None:
             params["engine"] = engine
-        sequential = spec_from_params(params)
-        batched = spec_from_params(
-            params, replicas=6, seed=(1, 2), measure="batch"
-        )
-        assert sequential.engine == (engine or "population")
-        assert batched.engine == batch_engine
-        assert batched.replicas == 6
+        spec = spec_from_params(params, replicas=6, seed=(1, 2))
+        assert spec.engine == batch_engine
+        assert spec.replicas == 6
 
     def test_batch_measure_graph_point_maps_to_agent_batch(self):
         spec = spec_from_params(
@@ -643,7 +669,6 @@ class TestSpecFromParamsEngines:
                 "degree": 4,
             },
             replicas=3,
-            measure="batch",
         )
         assert spec.engine == "agent-batch"
         assert spec.graph is not None
@@ -656,48 +681,44 @@ class TestSpecFromParamsEngines:
                 "adversary_budget": 2,
             },
             replicas=3,
-            measure="batch",
         )
         assert spec.engine == "batch"
         assert spec.target is not None
-        # Sequential specs keep the historical targetless shape (the
-        # point function threads the target into run_until_consensus).
+        # F = 0 cannot stall strict consensus: no target.
         assert spec_from_params(
             {
                 **self.BASE,
                 "adversary": "runner-up",
-                "adversary_budget": 2,
+                "adversary_budget": 0,
             }
         ).target is None
 
-    def test_rejects_unknown_measure(self):
-        with pytest.raises(ConfigurationError, match="measure"):
-            spec_from_params(self.BASE, measure="vectorised")
-
-    def test_random_initial_family_shares_start_across_modes(self):
+    def test_random_initial_family_start_is_seed_independent(self):
         """Dirichlet starts are a function of the params alone.
 
-        Regression: the batched spec carries a measurement seed, which
-        must not leak into the initial configuration — batch and
-        sequential measurement (and every replica) see the identical
-        random-family start.
+        The spec carries a measurement seed, which must not leak into
+        the initial configuration: every replica, under every sweep
+        seed, starts from the draw of the default spec seed.
         """
         params = {**self.BASE, "initial": "dirichlet"}
-        sequential = spec_from_params(params).initial_counts()
-        batched = spec_from_params(
-            params, replicas=4, seed=(9, 9, 9), measure="batch"
+        default_draw = SimulationSpec(
+            n=256, k=4, initial="dirichlet"
         ).initial_counts()
-        assert (sequential == batched).all()
+        for seed in ((9, 9, 9), (1,)):
+            start = spec_from_params(
+                params, replicas=4, seed=seed
+            ).initial_counts()
+            assert (start == default_draw).all()
 
 
 class TestBatchMeasurement:
-    """run_sweep defaults to batched measurement with sequential opt-out."""
+    """run_sweep measures every point through the batch engines."""
 
     POINT = {"dynamics": "3-majority", "n": 512}
 
     def test_default_measure_is_batch(self, tmp_path):
-        """The default point function routes through the batch sibling
-        and caches under the batch key, not the sequential one."""
+        """The default point function caches under the versioned batch
+        key, not the parameters-only key."""
         spec = SweepSpec(
             grid={"k": [4]}, fixed=self.POINT, num_runs=3, seed=0
         )
@@ -706,70 +727,101 @@ class TestBatchMeasurement:
         payload = json.loads(path.read_text())
         assert payload["measure"] == "batch"
         params = {**self.POINT, "k": 4}
-        assert path.stem == _point_key(params, "batch")
-        assert path.stem != _point_key(params)
+        assert path.stem == _point_key(params)
+        assert path.stem != _params_only_key(params)
 
     def test_point_key_versioned_measure_field(self):
+        """The key hashes the params plus ``__measure__: batch/v1``."""
         params = {**self.POINT, "k": 4}
-        assert _point_key(params, "sequential") == _point_key(params)
-        assert _point_key(params, "batch") != _point_key(params)
+        versioned = {**params, "__measure__": "batch/v1"}
+        assert _point_key(params) == _params_only_key(versioned)
+        assert _point_key(params) != _params_only_key(params)
 
-    def test_modes_never_share_cache_files(self, tmp_path):
-        """A batched sweep never reads old sequential caches (and vice
-        versa): same grid, same dir, both modes measure fresh."""
+    @pytest.mark.parametrize(
+        "params, key",
+        [
+            pytest.param(
+                {"dynamics": "3-majority", "n": 512, "k": 4},
+                "b8ed6986d04f20f1",
+                id="population",
+            ),
+            pytest.param(
+                {"dynamics": "2-choices", "n": 256, "k": 4,
+                 "graph": "random-regular", "degree": 4},
+                "9d6deaa33a4821d8",
+                id="graph",
+            ),
+            pytest.param(
+                {"dynamics": "3-majority", "n": 512, "k": 4,
+                 "engine": "async"},
+                "bef673e1cd2241ed",
+                id="async",
+            ),
+            pytest.param(
+                {"dynamics": "3-majority", "n": 512, "k": 4,
+                 "adversary": "runner-up", "adversary_budget": 2},
+                "61c3eef3027d1161",
+                id="adversarial",
+            ),
+        ],
+    )
+    def test_point_key_is_pinned(self, params, key):
+        """Warm caches carry over: a point's file name never drifts."""
+        assert _point_key(params) == key
+
+    def test_old_sequential_cache_file_is_ignored(self, tmp_path):
+        """A params-only-keyed file from an old sequential sweep is
+        never read: the point is re-measured under its batch key."""
         spec = SweepSpec(
-            grid={"k": [2, 8]}, fixed=self.POINT, num_runs=2, seed=3
+            grid={"k": [4]}, fixed=self.POINT, num_runs=3, seed=0
         )
-        sequential = run_sweep(
-            spec, cache_dir=tmp_path, measure="sequential"
+        params = {**self.POINT, "k": 4}
+        old = tmp_path / f"{_params_only_key(params)}.json"
+        old_document = json.dumps(
+            {
+                "params": params,
+                "values": [-1.0, -1.0, -1.0],
+                "measure": "sequential",
+            }
         )
-        assert len(list(tmp_path.glob("*.json"))) == 2
-        batch = run_sweep(spec, cache_dir=tmp_path, measure="batch")
-        assert len(list(tmp_path.glob("*.json"))) == 4
-        # Cached reload stays mode-faithful.
-        assert [p.values for p in run_sweep(
-            spec, cache_dir=tmp_path, measure="sequential"
-        )] == [p.values for p in sequential]
-        assert [p.values for p in run_sweep(
-            spec, cache_dir=tmp_path, measure="batch"
-        )] == [p.values for p in batch]
+        old.write_text(old_document)
+        (point,) = run_sweep(spec, cache_dir=tmp_path)
+        assert point.values == run_sweep(spec)[0].values
+        assert all(v > 0 for v in point.values)
+        new = tmp_path / f"{_point_key(params)}.json"
+        assert json.loads(new.read_text())["values"] == list(point.values)
+        assert old.read_text() == old_document
 
-    def test_custom_point_function_defaults_to_sequential(self, tmp_path):
-        spec = SweepSpec(grid={"x": [1]}, num_runs=2, seed=1)
-        run_sweep(
-            spec, point_function=_cheap_point, cache_dir=tmp_path
-        )
-        (path,) = tmp_path.glob("*.json")
-        assert json.loads(path.read_text())["measure"] == "sequential"
-
-    def test_custom_point_function_cannot_batch_implicitly(self):
-        spec = SweepSpec(grid={"x": [1]})
-        with pytest.raises(ConfigurationError, match="batch"):
-            run_sweep(
-                spec, point_function=_cheap_point, measure="batch"
-            )
-
-    def test_rejects_unknown_measure(self):
+    @pytest.mark.parametrize("measure", ["sequential", "vectorised"])
+    def test_rejects_other_measure(self, measure):
         spec = SweepSpec(grid={"x": [1]})
         with pytest.raises(ConfigurationError, match="measure"):
-            run_sweep(spec, measure="vectorised")
+            run_sweep(spec, measure=measure)
 
     def test_batch_and_sequential_statistically_equivalent(self):
-        """Same chain, different streams: medians must agree (KS)."""
+        """The batched sweep and the sequential population engine run
+        the same chain on different streams: medians must agree (KS)."""
         spec = SweepSpec(
             grid={"k": [4]}, fixed=self.POINT, num_runs=60, seed=7
         )
-        (sequential,) = run_sweep(spec, measure="sequential")
-        (batch,) = run_sweep(spec, measure="batch")
+        (batch,) = run_sweep(spec)
+        sequential = execute(
+            SimulationSpec(
+                **self.POINT, k=4, engine="population", replicas=60,
+                seed=7,
+            )
+        ).consensus_times
         assert len(batch.values) == 60
-        statistic, p_value = ks_2samp(sequential.values, batch.values)
+        assert len(sequential) == 60
+        statistic, p_value = ks_2samp(sequential, batch.values)
         assert p_value > 1e-3, (
             f"KS statistic {statistic:.3f}, p={p_value:.2e} — batched "
-            "and sequential sweep measurements differ in distribution"
+            "sweep and sequential population runs differ in distribution"
         )
+        sequential_median = float(np.median(sequential))
         assert (
-            abs(sequential.median - batch.median)
-            <= 0.35 * max(sequential.median, batch.median)
+            abs(sequential_median - batch.median)
+            <= 0.35 * max(sequential_median, batch.median)
         )
 
     def test_batch_censored_rows_are_nan(self):
