@@ -8,7 +8,8 @@
 * :class:`AsyncBatchPopulationEngine` — R asynchronous chains advanced
   tick-by-tick in lockstep as one vectorised ``(R, k)`` count matrix;
 * :class:`BatchPopulationEngine` — R replicas as one vectorised
-  ``(R, k)`` count matrix;
+  ``(R, k)`` count matrix, and the replica run loop the other two
+  batch engines subclass;
 * :class:`BatchAgentEngine` — R replicas of a graph chain as one
   vectorised ``(R, n)`` opinion matrix;
 * :func:`run_until_consensus` / :func:`replicate` — run control;

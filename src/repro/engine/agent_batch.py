@@ -15,23 +15,24 @@ sample_neighbors_batch`) plus one fused opinion gather per sample plane
 speedup).  ``benchmarks/bench_agent_batch.py`` guards the overrides and
 tracks the speedups over sequential agent-level replication.
 
-Cost model: the per-round work is proportional to the number of *active*
-replica rows — rows are frozen the round they stop (consensus under the
-dynamics' own convention, or a caller-supplied per-row ``target`` on the
-count vectors), excluded from sampling, and never change again.  The
-plain consensus path never materialises count vectors: stopping is
-detected on the opinion matrix itself via a cheap column-subsample
-prefilter (a necessary condition for row uniformity) followed by the
-dynamics' exact ``consensus_mask_agents`` on the few candidate rows.
-Count vectors are built only when something needs them — an adversary, a
-``target`` predicate, or the final per-replica results.
+The replica bookkeeping — frozen rows, the adversary contract,
+``target``, ``record_hook``, results and the ``on_budget`` tail — is the
+shared run loop of :class:`~repro.engine.batch.BatchPopulationEngine`,
+which this engine subclasses.  What the graph chain changes:
 
-Adversaries act on count vectors ([GL18] population model); this engine
-lifts each row's corruption back onto vertices exactly like the
-sequential :class:`~repro.engine.agent.AgentEngine`: uniformly random
-holders of each losing opinion are reassigned to the gaining opinions
-(:func:`apply_count_delta`), with the corruption contract enforced
-row-wise every round.
+* **State** — an ``(R, n)`` opinion matrix in the narrowest integer dtype
+  holding the labels; count vectors are built only when something needs
+  them (an adversary, a ``target`` predicate, ``record_hook`` or the
+  results).
+* **Stopping** — detected on the opinion matrix itself via a cheap
+  column-subsample prefilter (a necessary condition for row uniformity)
+  followed by the dynamics' exact ``consensus_mask_agents`` on the few
+  candidate rows.
+* **Corruption** — adversaries act on count vectors ([GL18] population
+  model); each row's corruption is lifted back onto vertices exactly
+  like the sequential :class:`~repro.engine.agent.AgentEngine`:
+  uniformly random holders of each losing opinion are reassigned to the
+  gaining opinions (:func:`apply_count_delta`).
 
 Each row is the same Markov chain a single :class:`AgentEngine` runs on
 the same graph (KS-equivalence-tested); all rows share one generator, so
@@ -45,20 +46,16 @@ from collections.abc import Callable
 
 import numpy as np
 
-from repro.adversary.base import (
-    Adversary,
-    apply_count_delta,
-    enforce_corruption_contract_batch,
-)
-from repro.backends import resolve_backend, use_backend
+from repro.adversary.base import Adversary, apply_count_delta
 from repro.core.base import Dynamics
+from repro.engine.batch import (
+    BatchPopulationEngine,
+    build_replica_matrix,
+    run_to_budget,
+)
 from repro.engine.registry import register_engine
 from repro.engine.runner import RunResult
-from repro.errors import (
-    ConfigurationError,
-    ConsensusNotReached,
-    StateError,
-)
+from repro.errors import ConfigurationError, StateError
 from repro.graphs.base import Graph
 from repro.graphs.complete import CompleteGraph
 from repro.seeding import RandomState, as_generator
@@ -89,16 +86,16 @@ def _label_dtype(num_opinions: int) -> np.dtype:
     return np.dtype(np.int64)
 
 
-class BatchAgentEngine:
+class BatchAgentEngine(BatchPopulationEngine):
     """Advance R replicas of a graph chain as one opinion matrix.
+
+    :class:`~repro.engine.batch.BatchPopulationEngine`'s run loop over
+    an ``(R, n)`` opinion matrix: the step is ``agent_step_batch``,
+    stopping uses the column prefilter plus ``consensus_mask_agents``,
+    and corruptions are lifted onto vertices.
 
     Parameters
     ----------
-    dynamics:
-        Any :class:`~repro.core.base.Dynamics`.  3-Majority, 2-Choices
-        and Voter step fully vectorised via ``agent_step_batch``;
-        dynamics without an override fall back to a per-row loop
-        (correct, no speedup).
     graph:
         Shared substrate; ``graph.num_vertices`` must match the opinion
         row length.
@@ -107,46 +104,27 @@ class BatchAgentEngine:
         an ``(R, n)`` matrix giving each replica its own start (the
         registry adapter shuffles vertex identities per row, which
         matters on non-complete graphs).
-    num_replicas:
-        Number of replicas R.  Required with a 1-D ``opinions``; with a
-        matrix it must match the row count (or be omitted).
     num_opinions:
         Size of the opinion space ``k``.  Announced to the dynamics via
         ``bind_opinion_space`` when given (the Undecided-State label
         convention needs it), defaulted from the labels otherwise.
-    seed:
-        Anything accepted by :func:`repro.seeding.as_generator`; one
-        stream drives all replicas.
-    adversary:
-        Optional F-bounded :class:`~repro.adversary.base.Adversary`
-        corrupting every active row after each round via
-        ``corrupt_batch`` (contract-checked per row), lifted onto
-        vertices with :func:`apply_count_delta`.
-    target:
-        Optional stopping predicate on a single row's *count vector*
-        (the population-level contract shared with
-        :class:`~repro.engine.batch.BatchPopulationEngine`); objects
-        exposing ``batch(rows)`` are evaluated in one vectorised call.
-    backend:
-        Optional compute backend pinned for this engine's steps (name,
-        instance, or ``None``/``"auto"`` to inherit the ambient backend
-        — see :mod:`repro.backends`); a pure performance knob that
-        never changes the sampled law.
-    record_hook:
-        Optional observation callback ``hook(round_index, counts,
-        frozen)`` invoked after every :meth:`step` with the engine's
-        per-replica *count* view (derived from the opinion matrix —
-        the population-level contract all recorders share) and frozen
-        mask.  Costs nothing when ``None``; used by
-        :mod:`repro.invariants` to record traces.
+    dynamics, num_replicas, seed, adversary, target, backend, record_hook:
+        As for :class:`~repro.engine.batch.BatchPopulationEngine`.
+        3-Majority, 2-Choices and Voter step fully vectorised; other
+        dynamics fall back to a per-row loop (correct, no speedup).
+        ``target``, the adversary and ``record_hook`` all see the
+        per-replica *count* vectors derived from the opinion matrix —
+        the population-level contract every recorder shares.
 
     Attributes
     ----------
     opinions:
         The ``(R, n)`` opinion matrix (owned by the engine; narrow
         integer dtype).
+    counts:
+        The ``(R, k)`` count matrix, derived from ``opinions``.
     frozen, consensus_rounds, round_index:
-        Same meaning as on :class:`BatchPopulationEngine`.
+        As on :class:`~repro.engine.batch.BatchPopulationEngine`.
     """
 
     def __init__(
@@ -163,65 +141,47 @@ class BatchAgentEngine:
         record_hook: Callable[[int, np.ndarray, np.ndarray], None]
         | None = None,
     ) -> None:
-        self.backend = (
-            None if backend in (None, "auto") else resolve_backend(backend)
-        )
-        self.record_hook = record_hook
-        self.dynamics = dynamics
         self.graph = graph
-        self.adversary = adversary
-        self.target = target
-        arr = np.asarray(opinions)
-        if arr.ndim == 1:
-            if num_replicas is None:
-                raise ConfigurationError(
-                    "num_replicas is required when opinions is a single "
-                    "1-D configuration"
-                )
-            if num_replicas < 1:
-                raise ConfigurationError(
-                    f"num_replicas must be at least 1, got {num_replicas}"
-                )
-            base = validate_agents(arr, k=num_opinions)
-            matrix = np.tile(base, (int(num_replicas), 1))
-        elif arr.ndim == 2:
-            if num_replicas is not None and num_replicas != arr.shape[0]:
-                raise ConfigurationError(
-                    f"opinions has {arr.shape[0]} rows but num_replicas="
-                    f"{num_replicas}"
-                )
-            matrix = np.stack(
-                [validate_agents(row, k=num_opinions) for row in arr]
-            )
-        else:
-            raise ConfigurationError(
-                f"opinions must be 1-D or (R, n), got shape {arr.shape}"
-            )
-        if matrix.shape[1] != graph.num_vertices:
+        # The caller's opinion space (or None); _start_matrix settles it.
+        self.num_opinions = num_opinions
+        super().__init__(
+            dynamics,
+            opinions,
+            num_replicas,
+            seed,
+            adversary,
+            target,
+            backend,
+            record_hook,
+        )
+
+    def _start_matrix(
+        self, opinions: np.ndarray, num_replicas: int | None
+    ) -> np.ndarray:
+        """The validated ``(R, n)`` start in the narrowest label dtype."""
+        declared = self.num_opinions
+        matrix = build_replica_matrix(
+            opinions,
+            num_replicas,
+            lambda row: validate_agents(row, k=declared),
+            name="opinions",
+        )
+        if matrix.shape[1] != self.graph.num_vertices:
             raise ConfigurationError(
                 f"got {matrix.shape[1]} opinions per replica for a graph "
-                f"with {graph.num_vertices} vertices"
+                f"with {self.graph.num_vertices} vertices"
             )
-        self.num_replicas = int(matrix.shape[0])
         self.num_vertices = int(matrix.shape[1])
-        self.num_opinions = (
-            int(num_opinions)
-            if num_opinions is not None
-            else int(matrix.max()) + 1
-        )
         # Same contract as AgentEngine: only a caller-stated opinion
         # space is bound (a label-maximum fallback would mislead e.g.
         # Undecided-State on fully decided starts).
-        if num_opinions is not None:
+        if declared is None:
+            self.num_opinions = int(matrix.max()) + 1
+        else:
+            self.num_opinions = int(declared)
             self.dynamics.bind_opinion_space(self.num_opinions)
-        self.opinions = np.ascontiguousarray(
+        return np.ascontiguousarray(
             matrix, dtype=_label_dtype(self.num_opinions)
-        )
-        self.rng = as_generator(seed)
-        self.round_index = 0
-        self.frozen = self._stopped(self.opinions)
-        self.consensus_rounds = np.where(self.frozen, 0, -1).astype(
-            np.int64
         )
 
     # ------------------------------------------------------------------
@@ -255,7 +215,35 @@ class BatchAgentEngine:
     @property
     def counts(self) -> np.ndarray:
         """Per-replica count matrix ``(R, k)`` derived from opinions."""
-        return self._counts_of(self.opinions)
+        return self._counts_of(self._matrix)
+
+    @property
+    def opinions(self) -> np.ndarray:
+        """The ``(R, n)`` opinion matrix (owned by the engine)."""
+        return self._matrix
+
+    # ------------------------------------------------------------------
+    # The graph chain's hooks into the shared run loop
+    # ------------------------------------------------------------------
+    def _advance(self, active: np.ndarray) -> np.ndarray:
+        """One ``agent_step_batch`` of the active rows (no row copy when
+        every row is active)."""
+        view = (
+            self._matrix
+            if active.size == self.num_replicas
+            else self._matrix[active]
+        )
+        return self.dynamics.agent_step_batch(view, self.graph, self.rng)
+
+    def _store(self, active: np.ndarray, new_rows: np.ndarray) -> None:
+        if active.size == self.num_replicas:
+            # Keep the engine's narrow label dtype even when a row-loop
+            # fallback dynamics returns widened rows.
+            self._matrix = np.ascontiguousarray(
+                new_rows, dtype=self._matrix.dtype
+            )
+        else:
+            self._matrix[active] = new_rows
 
     def _stopped(self, opinions: np.ndarray) -> np.ndarray:
         """Per-row stopping mask on an opinion matrix.
@@ -263,21 +251,11 @@ class BatchAgentEngine:
         Without a ``target``: the dynamics' agent-level consensus rule,
         gated by the column-subsample prefilter so the full row scan
         only runs on rows that could plausibly be uniform.  With a
-        ``target``: the predicate is evaluated on the rows' count
-        vectors (vectorised when it exposes ``batch``).
+        ``target``: the predicate on the rows' count vectors.
         """
-        rows = opinions.shape[0]
         if self.target is not None:
-            counts = self._counts_of(opinions)
-            batch_predicate = getattr(self.target, "batch", None)
-            if batch_predicate is not None:
-                return np.asarray(batch_predicate(counts), dtype=bool)
-            return np.fromiter(
-                (bool(self.target(row)) for row in counts),
-                dtype=bool,
-                count=rows,
-            )
-        mask = np.zeros(rows, dtype=bool)
+            return super()._stopped(self._counts_of(opinions))
+        mask = np.zeros(opinions.shape[0], dtype=bool)
         probe = opinions[:, ::_PREFILTER_STRIDE] == opinions[:, :1]
         candidates = np.flatnonzero(probe.all(axis=1))
         if candidates.size:
@@ -287,139 +265,18 @@ class BatchAgentEngine:
             )
         return mask
 
-    # ------------------------------------------------------------------
-    # Stepping
-    # ------------------------------------------------------------------
-    def step(self) -> np.ndarray:
-        """Advance every unfinished replica one synchronous round.
+    def _corrupt(self, new_rows: np.ndarray) -> np.ndarray:
+        """Corrupt the rows' count vectors, then lift onto vertices.
 
-        Frozen rows are excluded from sampling (and corruption) and
-        keep their opinions; rows that hit the stopping rule this round
-        — checked after the adversary's corruption, matching the
-        sequential adversarial chain — record it and freeze.
-        """
-        active = np.flatnonzero(~self.frozen)
-        self.round_index += 1
-        if active.size == 0:
-            if self.record_hook is not None:
-                self.record_hook(
-                    self.round_index, self.counts, self.frozen
-                )
-            return self.opinions
-        all_active = active.size == self.num_replicas
-        view = self.opinions if all_active else self.opinions[active]
-        with use_backend(self.backend):
-            new_rows = self.dynamics.agent_step_batch(
-                view, self.graph, self.rng
-            )
-        if self.adversary is not None:
-            self._apply_corruption(new_rows)
-        if all_active:
-            # Keep the engine's narrow label dtype even when a row-loop
-            # fallback dynamics returns widened rows.
-            self.opinions = np.ascontiguousarray(
-                new_rows, dtype=self.opinions.dtype
-            )
-        else:
-            self.opinions[active] = new_rows
-        done = active[self._stopped(new_rows)]
-        self.consensus_rounds[done] = self.round_index
-        self.frozen[done] = True
-        if self.record_hook is not None:
-            self.record_hook(self.round_index, self.counts, self.frozen)
-        return self.opinions
-
-    def _apply_corruption(self, new_rows: np.ndarray) -> None:
-        """Corrupt all active rows on the count level, lift onto vertices.
-
-        The corruption itself is one vectorised ``corrupt_batch`` call
-        (contract-checked row-wise); the lift loops only over rows the
-        adversary actually touched, moving at most F vertices each.
+        The corruption is the shared contract-checked ``corrupt_batch``
+        call; the lift loops only over rows the adversary actually
+        touched, moving at most F vertices each.
         """
         counts = self._counts_of(new_rows)
-        corrupted = self.adversary.corrupt_batch(counts.copy(), self.rng)
-        corrupted = enforce_corruption_contract_batch(
-            counts, corrupted, self.adversary.budget
-        )
-        delta = corrupted - counts
+        delta = super()._corrupt(counts) - counts
         for row in np.flatnonzero(delta.any(axis=1)):
             apply_count_delta(new_rows[row], delta[row], self.rng)
-
-    def all_consensus(self) -> bool:
-        """True once every replica has stopped."""
-        return bool(self.frozen.all())
-
-    def run_until_consensus(self, max_rounds: int) -> list[RunResult]:
-        """Run until every replica froze or ``max_rounds`` rounds passed."""
-        if max_rounds < 0:
-            raise ConfigurationError(
-                f"max_rounds must be non-negative, got {max_rounds}"
-            )
-        while not self.frozen.all() and self.round_index < max_rounds:
-            self.step()
-        return self.results()
-
-    def results(self) -> list[RunResult]:
-        """Per-replica results for the rounds executed so far.
-
-        Winner reporting follows the dynamics' count-level consensus
-        convention (``consensus_mask_batch``), exactly like the
-        population batch engine — an Undecided-State row only reports a
-        winner when a decided opinion holds everything.
-        """
-        counts = self.counts
-        winners = counts.argmax(axis=1)
-        at_consensus = np.asarray(
-            self.dynamics.consensus_mask_batch(counts), dtype=bool
-        )
-        out: list[RunResult] = []
-        for r in range(self.num_replicas):
-            converged = bool(self.frozen[r])
-            out.append(
-                RunResult(
-                    converged=converged,
-                    rounds=int(self.consensus_rounds[r])
-                    if converged
-                    else self.round_index,
-                    winner=int(winners[r])
-                    if converged and at_consensus[r]
-                    else None,
-                    final_counts=counts[r].copy(),
-                )
-            )
-        return out
-
-    # ------------------------------------------------------------------
-    # Inspection helpers (matrix-level views)
-    # ------------------------------------------------------------------
-    @property
-    def alpha(self) -> np.ndarray:
-        """Fractional populations, shape ``(R, k)``."""
-        return self.counts / self.num_vertices
-
-    @property
-    def gamma(self) -> np.ndarray:
-        """Per-replica ``gamma_t``, shape ``(R,)``."""
-        a = self.alpha
-        return np.einsum("rk,rk->r", a, a)
-
-    @property
-    def alive(self) -> np.ndarray:
-        """Per-replica surviving-opinion counts, shape ``(R,)``."""
-        return np.count_nonzero(self.counts, axis=1)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        adv = (
-            f", adversary={self.adversary!r}"
-            if self.adversary is not None
-            else ""
-        )
-        return (
-            f"BatchAgentEngine({self.dynamics.name}, "
-            f"graph={self.graph!r}, R={self.num_replicas}, "
-            f"round={self.round_index}, "
-            f"frozen={int(self.frozen.sum())}{adv})"
-        )
+        return new_rows
 
 
 def _run_spec(spec) -> list[RunResult]:
@@ -428,15 +285,13 @@ def _run_spec(spec) -> list[RunResult]:
     Vertex identities are shuffled independently per replica row
     (``rng.permuted``), mirroring the sequential agent adapter — on
     non-complete graphs *which* vertices hold which opinion matters.
-    Honors ``spec.on_budget`` like every other engine adapter.
     """
     dynamics = spec.resolved_dynamics()
     counts = spec.initial_counts()
     graph = spec.graph or CompleteGraph(spec.n)
     rng = as_generator(spec.seed)
-    base = counts_to_agents(counts)
     opinions = rng.permuted(
-        np.tile(base, (spec.replicas, 1)), axis=1
+        np.tile(counts_to_agents(counts), (spec.replicas, 1)), axis=1
     )
     engine = BatchAgentEngine(
         dynamics,
@@ -448,17 +303,7 @@ def _run_spec(spec) -> list[RunResult]:
         target=spec.target,
         backend=getattr(spec, "backend", None),
     )
-    budget = spec.round_budget()
-    results = engine.run_until_consensus(budget)
-    if spec.on_budget == "raise":
-        censored = sum(1 for result in results if not result.converged)
-        if censored:
-            raise ConsensusNotReached(
-                budget,
-                f"{censored} of {spec.replicas} replicas did not reach "
-                f"consensus within {budget} rounds",
-            )
-    return results
+    return run_to_budget(engine, spec)
 
 
 register_engine(

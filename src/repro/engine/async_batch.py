@@ -19,14 +19,24 @@ tests check distributional agreement via KS tests), but all rows share
 one generator, so a batch run is equal to R seeded sequential runs in
 distribution, not in realisation.
 
-Rows are frozen the tick they reach the dynamics' consensus (gated by
-the cheap one-opinion-holds-all filter, so the per-tick cost of the
-check is one row-wise max): they are excluded from subsequent sampling
-and their stopping tick is recorded.  An optional F-bounded adversary
-corrupts every active row once per synchronous-equivalent round (after
-every ``n`` ticks — the same [GL18] budget translation as the
-sequential asynchronous engine) through the vectorised
-``corrupt_batch`` contract path.
+The run loop — frozen rows, the adversary contract, ``record_hook``,
+results and the ``on_budget`` tail — is that of
+:class:`~repro.engine.batch.BatchPopulationEngine`, which this engine
+subclasses with one :meth:`step` = one tick.  What the asynchronous
+chain changes:
+
+* **Stopping** — rows freeze the tick they reach the dynamics'
+  consensus, gated by the cheap one-opinion-holds-all filter, so the
+  per-tick cost of the check is one row-wise max.  There is no
+  ``target``.
+* **Corruption** — an optional F-bounded adversary corrupts every active
+  row once per synchronous-equivalent round, on every ``n``-th tick:
+  the same [GL18] budget translation as the sequential asynchronous
+  engine.
+* **Units** — ``tick_index`` and ``consensus_ticks`` count ticks;
+  results report synchronous-equivalent ``ceil(ticks / n)`` rounds with
+  the raw count in ``metrics["ticks"]``, and a spec's round budget is
+  ``max_rounds * n`` ticks.
 """
 
 from __future__ import annotations
@@ -36,69 +46,43 @@ from collections.abc import Callable
 
 import numpy as np
 
-from repro.adversary.base import (
-    Adversary,
-    enforce_corruption_contract_batch,
-)
-from repro.backends import resolve_backend, use_backend
+from repro.adversary.base import Adversary
 from repro.core.base import Dynamics
-from repro.engine.batch import build_replica_matrix
+from repro.engine.batch import BatchPopulationEngine, run_to_budget
 from repro.engine.registry import register_engine
 from repro.engine.runner import RunResult
-from repro.errors import ConfigurationError, ConsensusNotReached
-from repro.seeding import RandomState, as_generator
+from repro.errors import ConfigurationError
+from repro.seeding import RandomState
 
 __all__ = ["AsyncBatchPopulationEngine"]
 
 
-class AsyncBatchPopulationEngine:
+class AsyncBatchPopulationEngine(BatchPopulationEngine):
     """Advance R asynchronous chains tick-by-tick as one count matrix.
 
-    Parameters
-    ----------
-    dynamics:
-        Any :class:`~repro.core.base.Dynamics` with asynchronous
-        support.  Every catalogued dynamics runs fully vectorised via
-        its ``async_population_step_batch`` override; third-party
-        dynamics without one fall back to a per-row loop over
-        ``async_population_step`` (correct, no speedup).
-    counts:
-        Either a 1-D count vector shared by every replica, or an
-        ``(R, k)`` matrix giving each replica its own start (same
-        shapes as :class:`~repro.engine.batch.BatchPopulationEngine`).
-    num_replicas:
-        Number of replicas R (required with a 1-D ``counts``).
-    seed:
-        Anything accepted by :func:`repro.seeding.as_generator`.  One
-        stream drives all replicas.
-    adversary:
-        Optional F-bounded :class:`~repro.adversary.base.Adversary`
-        corrupting every active row after each synchronous-equivalent
-        round (every ``n`` ticks) via ``corrupt_batch``
-        (contract-checked per row).
-    backend:
-        Optional compute backend pinned for this engine's ticks (name,
-        instance, or ``None``/``"auto"`` to inherit the ambient backend
-        — see :mod:`repro.backends`); a pure performance knob that
-        never changes the sampled law.
-    record_hook:
-        Optional observation callback ``hook(tick_index, counts,
-        frozen)`` invoked after every :meth:`step` (i.e. per tick) with
-        the engine's own state.  Costs nothing when ``None``; used by
-        :mod:`repro.invariants` to record traces.
+    Takes the parameters of
+    :class:`~repro.engine.batch.BatchPopulationEngine` except
+    ``target``.  Every catalogued dynamics ticks fully vectorised via
+    its ``async_population_step_batch`` override; third-party dynamics
+    without one fall back to a per-row loop over
+    ``async_population_step`` (correct, no speedup).  The adversary
+    corrupts on every ``n``-th tick, and ``record_hook`` is called per
+    tick with the tick index.
 
     Attributes
     ----------
-    counts:
-        The ``(R, k)`` configuration matrix (owned by the engine).
+    counts, frozen:
+        As on :class:`~repro.engine.batch.BatchPopulationEngine`.
     tick_index:
         Asynchronous ticks executed so far (shared by all replicas).
-    frozen:
-        Boolean ``(R,)`` mask of replicas that reached consensus.
     consensus_ticks:
         Int ``(R,)`` array of per-replica stopping ticks (-1 while
         unfinished).
+    round_index, consensus_rounds:
+        The same in synchronous-equivalent rounds.
     """
+
+    _unit = "tick"
 
     def __init__(
         self,
@@ -111,75 +95,57 @@ class AsyncBatchPopulationEngine:
         record_hook: Callable[[int, np.ndarray, np.ndarray], None]
         | None = None,
     ) -> None:
-        self.backend = (
-            None if backend in (None, "auto") else resolve_backend(backend)
-        )
-        self.record_hook = record_hook
-        self.dynamics = dynamics
-        self.adversary = adversary
-        self.counts = build_replica_matrix(counts, num_replicas)
-        self.num_replicas = int(self.counts.shape[0])
-        self.num_opinions = int(self.counts.shape[1])
-        self.num_vertices = int(self.counts[0].sum())
-        self.rng = as_generator(seed)
-        self.tick_index = 0
-        self.frozen = np.asarray(
-            self.dynamics.consensus_mask_batch(self.counts), dtype=bool
-        )
-        self.consensus_ticks = np.where(self.frozen, 0, -1).astype(
-            np.int64
+        super().__init__(
+            dynamics,
+            counts,
+            num_replicas,
+            seed,
+            adversary,
+            backend=backend,
+            record_hook=record_hook,
         )
 
-    def step(self) -> np.ndarray:
-        """Execute one asynchronous tick on every unfinished replica.
+    def _advance(self, active: np.ndarray) -> np.ndarray:
+        return self.dynamics.async_population_step_batch(
+            self._matrix[active], self.rng
+        )
 
-        Frozen rows are excluded from sampling (and from corruption)
-        and keep their counts.  With an adversary, every ``n``-th tick
-        closes a synchronous-equivalent round and triggers one checked
-        vectorised corruption of the active rows.  Rows reaching the
-        dynamics' consensus this tick — checked after the corruption,
-        matching the sequential adversarial chain — record the tick and
-        freeze.
-        """
-        active = ~self.frozen
-        self.tick_index += 1
-        if active.any():
-            with use_backend(self.backend):
-                new_rows = self.dynamics.async_population_step_batch(
-                    self.counts[active], self.rng
-                )
-            if (
-                self.adversary is not None
-                and self.tick_index % self.num_vertices == 0
-            ):
-                # The adversary gets its own copy so an in-place-
-                # mutating corrupt_batch cannot defeat the contract
-                # check by changing the "before" matrix too.
-                corrupted = self.adversary.corrupt_batch(
-                    new_rows.copy(), self.rng
-                )
-                new_rows = enforce_corruption_contract_batch(
-                    new_rows, corrupted, self.adversary.budget
-                )
-            self.counts[active] = new_rows
-            # Cheap hot-path filter first (one row-wise max); only rows
-            # where a single label holds everything pay the dynamics'
-            # own convention check — for Undecided-State an
-            # all-undecided row never freezes (it surfaces as
-            # censored), exactly like the sequential async engine.
-            hit = new_rows.max(axis=1) == self.num_vertices
-            if hit.any():
-                confirmed = np.zeros_like(hit)
-                confirmed[hit] = np.asarray(
-                    self.dynamics.consensus_mask_batch(new_rows[hit]),
-                    dtype=bool,
-                )
-                done = np.flatnonzero(active)[confirmed]
-                self.consensus_ticks[done] = self.tick_index
-                self.frozen[done] = True
-        if self.record_hook is not None:
-            self.record_hook(self.tick_index, self.counts, self.frozen)
-        return self.counts
+    def _corrupt(self, rows: np.ndarray) -> np.ndarray:
+        # Only every n-th tick closes a synchronous-equivalent round.
+        if self._index % self.num_vertices:
+            return rows
+        return super()._corrupt(rows)
+
+    def _stopped(self, rows: np.ndarray) -> np.ndarray:
+        # Cheap hot-path filter first (one row-wise max); only rows
+        # where a single label holds everything pay the dynamics' own
+        # convention check — for Undecided-State an all-undecided row
+        # never freezes (it surfaces as censored), exactly like the
+        # sequential async engine.
+        hit = rows.max(axis=1) == self.num_vertices
+        if hit.any():
+            hit[hit] = super()._stopped(rows[hit])
+        return hit
+
+    def _timing(self, ticks: int) -> dict:
+        """Synchronous-equivalent ``ceil(ticks / n)`` rounds (the
+        sequential ``async`` adapter's convention, so batched and
+        sequential measurements aggregate in the same units), with the
+        raw ticks in ``metrics["ticks"]``."""
+        return {
+            "rounds": math.ceil(ticks / self.num_vertices),
+            "metrics": {"ticks": ticks},
+        }
+
+    def _budget(self, rounds: int) -> tuple[int, str]:
+        ticks = rounds * self.num_vertices
+        return ticks, (
+            f"{ticks} ticks ({rounds} synchronous-equivalent rounds)"
+        )
+
+    def run_until_consensus(self, max_ticks: int) -> list[RunResult]:
+        """Run until every replica froze or ``max_ticks`` ticks passed."""
+        return super().run_until_consensus(max_ticks)
 
     def run_ticks(self, ticks: int) -> np.ndarray:
         """Execute exactly ``ticks`` ticks (finished rows stay frozen)."""
@@ -191,112 +157,35 @@ class AsyncBatchPopulationEngine:
             self.step()
         return self.counts
 
-    def run_until_consensus(self, max_ticks: int) -> list[RunResult]:
-        """Run until every replica froze or ``max_ticks`` ticks passed.
+    @property
+    def tick_index(self) -> int:
+        """Asynchronous ticks executed so far."""
+        return self._index
 
-        Returns one :class:`~repro.engine.runner.RunResult` per
-        replica, in row order (see :meth:`results`).
-        """
-        if max_ticks < 0:
-            raise ConfigurationError(
-                f"max_ticks must be non-negative, got {max_ticks}"
-            )
-        while not self.frozen.all() and self.tick_index < max_ticks:
-            self.step()
-        return self.results()
+    @property
+    def consensus_ticks(self) -> np.ndarray:
+        """Per-replica stopping ticks (-1 while unfinished)."""
+        return self._stop_index
 
-    def all_consensus(self) -> bool:
-        """True once every replica has stopped."""
-        return bool(self.frozen.all())
-
-    def results(self) -> list[RunResult]:
-        """Per-replica results for the ticks executed so far.
-
-        ``rounds`` is the synchronous-equivalent ``ceil(ticks / n)``
-        (the convention of the sequential ``async`` registry adapter,
-        so batched and sequential measurements aggregate in the same
-        units) with the raw tick count in ``metrics["ticks"]``;
-        ``winner`` follows the dynamics' consensus convention.
-        """
-        winners = self.counts.argmax(axis=1)
-        at_consensus = np.asarray(
-            self.dynamics.consensus_mask_batch(self.counts), dtype=bool
-        )
-        out: list[RunResult] = []
-        for r in range(self.num_replicas):
-            converged = bool(self.frozen[r])
-            ticks = int(
-                self.consensus_ticks[r] if converged else self.tick_index
-            )
-            out.append(
-                RunResult(
-                    converged=converged,
-                    rounds=int(math.ceil(ticks / self.num_vertices)),
-                    winner=int(winners[r])
-                    if converged and at_consensus[r]
-                    else None,
-                    final_counts=self.counts[r].copy(),
-                    metrics={"ticks": ticks},
-                )
-            )
-        return out
-
-    # ------------------------------------------------------------------
-    # Inspection helpers (matrix-level views)
-    # ------------------------------------------------------------------
     @property
     def round_index(self) -> float:
         """Synchronous-equivalent rounds elapsed (= ticks / n)."""
-        return self.tick_index / self.num_vertices
+        return self._index / self.num_vertices
 
     @property
     def consensus_rounds(self) -> np.ndarray:
         """Per-replica stopping times in whole synchronous-equivalent
         rounds (``consensus_ticks // n``; -1 while unfinished)."""
         return np.where(
-            self.frozen,
-            self.consensus_ticks // self.num_vertices,
-            -1,
+            self.frozen, self._stop_index // self.num_vertices, -1
         ).astype(np.int64)
-
-    @property
-    def alpha(self) -> np.ndarray:
-        """Fractional populations, shape ``(R, k)``."""
-        return self.counts / self.num_vertices
-
-    @property
-    def gamma(self) -> np.ndarray:
-        """Per-replica ``gamma_t``, shape ``(R,)``."""
-        a = self.alpha
-        return np.einsum("rk,rk->r", a, a)
-
-    @property
-    def alive(self) -> np.ndarray:
-        """Per-replica surviving-opinion counts, shape ``(R,)``."""
-        return np.count_nonzero(self.counts, axis=1)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        adv = (
-            f", adversary={self.adversary!r}"
-            if self.adversary is not None
-            else ""
-        )
-        return (
-            f"AsyncBatchPopulationEngine({self.dynamics.name}, "
-            f"R={self.num_replicas}, n={self.num_vertices}, "
-            f"k={self.num_opinions}, tick={self.tick_index}, "
-            f"frozen={int(self.frozen.sum())}{adv})"
-        )
 
 
 def _run_spec(spec) -> list[RunResult]:
     """Registry adapter: all R asynchronous replicas in one engine.
 
-    The spec's round budget is interpreted as ``max_rounds * n`` ticks
-    (like the sequential ``async`` adapter); ``on_budget="raise"``
-    raises on any censored replica here, so direct
-    ``get_engine("async-batch").run(spec)`` callers see the same
-    contract as every other engine.
+    The spec's round budget is interpreted as ``max_rounds * n`` ticks,
+    like the sequential ``async`` adapter.
     """
     engine = AsyncBatchPopulationEngine(
         spec.resolved_dynamics(),
@@ -306,18 +195,7 @@ def _run_spec(spec) -> list[RunResult]:
         adversary=spec.resolved_adversary(),
         backend=getattr(spec, "backend", None),
     )
-    budget = spec.round_budget()
-    results = engine.run_until_consensus(budget * spec.n)
-    if spec.on_budget == "raise":
-        censored = sum(1 for result in results if not result.converged)
-        if censored:
-            raise ConsensusNotReached(
-                budget,
-                f"{censored} of {spec.replicas} replicas did not reach "
-                f"consensus within {budget * spec.n} ticks "
-                f"({budget} synchronous-equivalent rounds)",
-            )
-    return results
+    return run_to_budget(engine, spec)
 
 
 register_engine(

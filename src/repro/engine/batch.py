@@ -1,40 +1,48 @@
-"""Vectorised batch-replica engine: R population chains in lockstep.
+"""Vectorised batch-replica engines: R chains in lockstep, one run loop.
 
 :func:`~repro.engine.runner.replicate` advances R independent runs as a
 Python loop over single :class:`~repro.engine.population.PopulationEngine`
 instances — R round-loops, each paying the per-call numpy overhead on tiny
-arrays.  This engine instead holds all R replicas as one ``(R, k)`` int64
-count matrix and advances every *unfinished* replica with a single call to
-the dynamics' ``population_step_batch``.  Every dynamics in the catalogue
-is fully vectorised there: one batched multinomial for 3-Majority and
-Voter, a binomial + multinomial pair for 2-Choices and Undecided-State, a
-batched group-law multinomial for the Median rule, and one batched
-multinomial over the exact majority-of-h law for h-Majority
+arrays.  :class:`BatchPopulationEngine` instead holds all R replicas as one
+``(R, k)`` int64 count matrix and advances every *unfinished* replica with
+a single call to the dynamics' ``population_step_batch``.  Every dynamics
+in the catalogue is fully vectorised there: one batched multinomial for
+3-Majority and Voter, a binomial + multinomial pair for 2-Choices and
+Undecided-State, a batched group-law multinomial for the Median rule, and
+one batched multinomial over the exact majority-of-h law for h-Majority
 (``benchmarks/bench_batch_dynamics.py`` guards the overrides and tracks
-the speedups), so a ``replicate``-style
-workload has one vectorised hot loop instead of R sequential ones.
-
-The stopping rule is dynamics-aware: each round the engine asks the
-dynamics' ``consensus_mask_batch`` which rows stopped, so dynamics with
-auxiliary labels keep their own convention — for Undecided-State,
-"consensus" means one *decided* opinion holds everything and the
-(absorbing, practically unreachable) all-undecided row counts as
-censored, never as a winner.
+the speedups).
 
 Each row is the same Markov chain a single :class:`PopulationEngine` runs
 (the tests check distributional agreement via KS tests), but all rows
 share one generator, so a batch run is *not* bitwise-identical to R
 seeded sequential runs — equal in distribution, not in realisation.
 
-Rows are frozen the round they stop: they are excluded from subsequent
-sampling, their count vectors never change again, and their stopping
-round is recorded.  The stopping rule is consensus by default, or a
-caller-supplied ``target`` predicate evaluated per row.  An optional
-F-bounded adversary corrupts every active row once per round (after the
-dynamics, before the stopping check — the same interleaving as the
-sequential adversarial chain), using the strategy's vectorised
-``corrupt_batch`` with the contract enforced on every row.  The engine
-keeps running until every row is frozen or the round budget is spent.
+The shared replica run loop
+---------------------------
+:class:`BatchPopulationEngine` is also the run loop of the graph and
+asynchronous batch engines (:class:`~repro.engine.agent_batch.
+BatchAgentEngine`, :class:`~repro.engine.async_batch.
+AsyncBatchPopulationEngine`).  It builds the start matrix
+(:func:`build_replica_matrix`) and pins the optional compute backend.
+Each :meth:`~BatchPopulationEngine.step` advances only the *active*
+rows, lets an optional F-bounded adversary corrupt them through
+``corrupt_batch`` with the [GL18] contract enforced row-wise (after the
+dynamics, before the stopping check — the sequential adversarial
+chain's interleaving), freezes the rows that stop and calls the
+optional ``record_hook``.  A row stops at consensus under the dynamics'
+own convention (for Undecided-State only a *decided* opinion holding
+everything; the all-undecided row is censored, never a winner) or when
+a caller ``target`` holds on its count vector.  Frozen rows are
+excluded from sampling and corruption and never change again.
+:func:`run_to_budget` is the registry adapters' shared ``on_budget``
+tail.
+
+The subclasses override only what their chain changes: the start
+(``_start_matrix``), the batched dynamics step (``_advance``), how
+stepped rows are stored (``_store``), the stopping mask (``_stopped``),
+the corruption (``_corrupt``) and the time units of results and budgets
+(``_timing``, ``_budget``).
 """
 
 from __future__ import annotations
@@ -55,55 +63,59 @@ from repro.errors import ConfigurationError, ConsensusNotReached
 from repro.seeding import RandomState, as_generator
 from repro.state import validate_counts
 
-__all__ = ["BatchPopulationEngine", "build_replica_matrix"]
+__all__ = ["BatchPopulationEngine", "build_replica_matrix", "run_to_budget"]
 
 
 def build_replica_matrix(
-    counts: np.ndarray, num_replicas: int | None
+    start: np.ndarray,
+    num_replicas: int | None,
+    validate_row: Callable[[np.ndarray], np.ndarray] = validate_counts,
+    name: str = "counts",
 ) -> np.ndarray:
-    """Normalise a batch engine's start into an ``(R, k)`` count matrix.
+    """Normalise a batch engine's start into one row per replica.
 
     Accepts either a 1-D configuration (tiled ``num_replicas`` times) or
-    an explicit ``(R, k)`` matrix (validated row-wise, ``num_replicas``
-    optional but checked when given); every row must carry the same
-    total mass.  Shared by the synchronous and asynchronous batch
-    engines so both accept starts in exactly the same shapes.
+    an explicit matrix (``num_replicas`` optional but checked when
+    given).  ``validate_row`` validates one row — a count vector by
+    default, an opinion vector for the graph engine — and ``name``
+    labels the start in error messages.  A start with no replica rows
+    raises :class:`~repro.errors.ConfigurationError`.
     """
-    arr = np.asarray(counts)
+    arr = np.asarray(start)
     if arr.ndim == 1:
         if num_replicas is None:
             raise ConfigurationError(
-                "num_replicas is required when counts is a single "
+                f"num_replicas is required when {name} is a single "
                 "1-D configuration"
             )
         if num_replicas < 1:
             raise ConfigurationError(
                 f"num_replicas must be at least 1, got {num_replicas}"
             )
-        base = validate_counts(arr)
-        return np.tile(base, (int(num_replicas), 1))
-    if arr.ndim == 2:
-        rows = [validate_counts(row) for row in arr]
-        if num_replicas is not None and num_replicas != len(rows):
-            raise ConfigurationError(
-                f"counts has {len(rows)} rows but num_replicas="
-                f"{num_replicas}"
-            )
-        matrix = np.stack(rows)
-        totals = matrix.sum(axis=1)
-        if (totals != totals[0]).any():
-            raise ConfigurationError(
-                "every replica row must have the same total mass; "
-                f"got row sums {np.unique(totals).tolist()}"
-            )
-        return matrix
-    raise ConfigurationError(
-        f"counts must be 1-D or (R, k), got shape {arr.shape}"
-    )
+        return np.tile(validate_row(arr), (int(num_replicas), 1))
+    if arr.ndim != 2:
+        raise ConfigurationError(
+            f"{name} must be 1-D or one row per replica, got shape "
+            f"{arr.shape}"
+        )
+    if num_replicas is not None and num_replicas != arr.shape[0]:
+        raise ConfigurationError(
+            f"{name} has {arr.shape[0]} rows but num_replicas="
+            f"{num_replicas}"
+        )
+    if arr.shape[0] == 0:
+        raise ConfigurationError(
+            f"{name} has no replica rows, got shape {arr.shape}; a batch "
+            "needs at least one"
+        )
+    return np.stack([validate_row(row) for row in arr])
 
 
 class BatchPopulationEngine:
     """Advance R replicas of a population chain as one count matrix.
+
+    Also the run loop the other batch engines inherit (see the module
+    docstring).
 
     Parameters
     ----------
@@ -118,32 +130,35 @@ class BatchPopulationEngine:
         ``(R, k)`` matrix giving each replica its own start.  Every row
         must have the same total mass ``n``.
     num_replicas:
-        Number of replicas R.  Required with a 1-D ``counts``; with a
-        matrix it must match the row count (or be omitted).
+        Number of replicas R.  Required with a 1-D start; with a matrix
+        it must match the row count (or be omitted).
     seed:
         Anything accepted by :func:`repro.seeding.as_generator`.  One
         stream drives all replicas.
     adversary:
         Optional F-bounded :class:`~repro.adversary.base.Adversary`
-        corrupting every active row after each round via
+        corrupting every active row after each step via
         ``corrupt_batch`` (contract-checked per row).
     target:
         Optional stopping predicate on a single row's count vector;
         replaces the consensus check, evaluated per active row per
-        round.  Rows satisfying it freeze exactly like consensus rows.
+        step.  Objects exposing ``batch(rows)`` (e.g.
+        :class:`~repro.adversary.tolerance.LeaderThresholdTarget`) are
+        evaluated in one vectorised call.  Rows satisfying it freeze
+        exactly like consensus rows.
     backend:
         Optional compute backend pinned for this engine's steps (name,
         instance, or ``None``/``"auto"`` to inherit the ambient backend
-        — see :mod:`repro.backends`).  A pure performance knob: it
-        never changes the sampled chain's law.
+        — see :mod:`repro.backends`).
     record_hook:
-        Optional observation callback ``hook(round_index, counts,
-        frozen)`` invoked after every :meth:`step` with the engine's
-        own state (the live ``(R, k)`` matrix and ``(R,)`` mask —
-        copy if you keep them).  The batch-engine counterpart of the
-        sequential engines' :class:`~repro.engine.callbacks.Observer`
-        protocol, used by :mod:`repro.invariants` to record traces;
-        costs nothing when ``None``.
+        Optional observation callback ``hook(index, counts, frozen)``
+        invoked after every :meth:`step` with the step index, the
+        engine's ``(R, k)`` count view and its ``(R,)`` frozen mask
+        (live arrays — copy if you keep them).  The batch-engine
+        counterpart of the sequential engines'
+        :class:`~repro.engine.callbacks.Observer` protocol, used by
+        :mod:`repro.invariants` to record traces; costs nothing when
+        ``None``.
 
     Attributes
     ----------
@@ -158,6 +173,9 @@ class BatchPopulationEngine:
         Int ``(R,)`` array of per-replica stopping times (-1 while
         unfinished).
     """
+
+    #: What one :meth:`step` is, in budgets and ``repr``.
+    _unit = "round"
 
     def __init__(
         self,
@@ -178,27 +196,123 @@ class BatchPopulationEngine:
         self.dynamics = dynamics
         self.adversary = adversary
         self.target = target
-        self.counts = build_replica_matrix(counts, num_replicas)
-        self.num_replicas = int(self.counts.shape[0])
-        self.num_opinions = int(self.counts.shape[1])
-        self.num_vertices = int(self.counts[0].sum())
+        self._matrix = self._start_matrix(counts, num_replicas)
+        self.num_replicas = int(self._matrix.shape[0])
         self.rng = as_generator(seed)
-        self.round_index = 0
-        self.frozen = self._stopped(self.counts)
-        self.consensus_rounds = np.where(self.frozen, 0, -1).astype(
-            np.int64
+        self._index = 0
+        self.frozen = self._stopped(self._matrix)
+        self._stop_index = np.where(self.frozen, 0, -1).astype(np.int64)
+
+    def _start_matrix(
+        self, counts: np.ndarray, num_replicas: int | None
+    ) -> np.ndarray:
+        """The validated ``(R, k)`` start; sets ``num_opinions`` and
+        ``num_vertices``."""
+        matrix = build_replica_matrix(counts, num_replicas)
+        totals = matrix.sum(axis=1)
+        if (totals != totals[0]).any():
+            raise ConfigurationError(
+                "every replica row must have the same total mass; "
+                f"got row sums {np.unique(totals).tolist()}"
+            )
+        self.num_opinions = int(matrix.shape[1])
+        self.num_vertices = int(totals[0])
+        return matrix
+
+    # ------------------------------------------------------------------
+    # The run loop
+    # ------------------------------------------------------------------
+    def step(self) -> np.ndarray:
+        """Advance every unfinished replica one step; return the state.
+
+        Frozen rows are excluded from sampling (and from corruption)
+        and keep their state; rows that hit the stopping rule this step
+        — checked *after* the adversary's corruption, matching the
+        sequential adversarial chain — record it and freeze.
+        """
+        active = np.flatnonzero(~self.frozen)
+        self._index += 1
+        if active.size:
+            with use_backend(self.backend):
+                new_rows = self._advance(active)
+            if self.adversary is not None:
+                new_rows = self._corrupt(new_rows)
+            self._store(active, new_rows)
+            stopped = self._stopped(new_rows)
+            if stopped.any():
+                done = active[stopped]
+                self._stop_index[done] = self._index
+                self.frozen[done] = True
+        if self.record_hook is not None:
+            self.record_hook(self._index, self.counts, self.frozen)
+        return self._matrix
+
+    def all_consensus(self) -> bool:
+        """True once every replica has stopped."""
+        return bool(self.frozen.all())
+
+    def run_until_consensus(self, max_rounds: int) -> list[RunResult]:
+        """Run until every replica froze or ``max_rounds`` steps passed.
+
+        Returns one :class:`~repro.engine.runner.RunResult` per replica,
+        in row order (see :meth:`results`).
+        """
+        if max_rounds < 0:
+            raise ConfigurationError(
+                f"max_{self._unit}s must be non-negative, got {max_rounds}"
+            )
+        while not self.frozen.all() and self._index < max_rounds:
+            self.step()
+        return self.results()
+
+    def results(self) -> list[RunResult]:
+        """Per-replica results for the steps executed so far.
+
+        Converged replicas report their stopping time, censored ones
+        the steps executed (:meth:`_timing` sets the units).  ``winner``
+        follows the dynamics' consensus convention: ``None`` unless the
+        row is at strict consensus (for Undecided-State, a *decided*
+        opinion holding everything).
+        """
+        counts = self.counts
+        at_consensus = self.frozen & np.asarray(
+            self.dynamics.consensus_mask_batch(counts), dtype=bool
+        )
+        winners = np.where(at_consensus, counts.argmax(axis=1), -1)
+        stops = np.where(self.frozen, self._stop_index, self._index)
+        return [
+            RunResult(
+                converged=bool(frozen),
+                winner=int(winner) if winner >= 0 else None,
+                final_counts=row.copy(),
+                **self._timing(int(stop)),
+            )
+            for frozen, winner, stop, row in zip(
+                self.frozen, winners, stops, counts
+            )
+        ]
+
+    # ------------------------------------------------------------------
+    # Per-chain hooks (the population chain's versions)
+    # ------------------------------------------------------------------
+    def _advance(self, active: np.ndarray) -> np.ndarray:
+        """One batched dynamics step of the ``active`` rows."""
+        return self.dynamics.population_step_batch(
+            self._matrix[active], self.rng
         )
 
-    def _stopped(self, rows: np.ndarray) -> np.ndarray:
-        """Per-row stopping mask: consensus, or the ``target`` predicate.
+    def _store(self, active: np.ndarray, new_rows: np.ndarray) -> None:
+        """Write the stepped rows back into the state matrix."""
+        self._matrix[active] = new_rows
 
-        The default consensus check is the *dynamics'*
-        ``consensus_mask_batch``, so label conventions travel with the
-        dynamics (Undecided-State only stops on a decided winner).
-        Targets exposing a ``batch(rows)`` method (e.g.
-        :class:`~repro.adversary.tolerance.LeaderThresholdTarget`) are
-        evaluated in one vectorised call; plain predicates fall back to
-        a per-row loop.
+    def _stopped(self, rows: np.ndarray) -> np.ndarray:
+        """Per-row stopping mask of count rows.
+
+        The ``target`` when given — one vectorised call when it exposes
+        ``batch(rows)`` (e.g. :class:`~repro.adversary.tolerance.
+        LeaderThresholdTarget`), else one call per row — otherwise the
+        dynamics' ``consensus_mask_batch``, so label conventions travel
+        with the dynamics.
         """
         if self.target is None:
             return np.asarray(
@@ -213,92 +327,42 @@ class BatchPopulationEngine:
             count=rows.shape[0],
         )
 
-    def step(self) -> np.ndarray:
-        """Advance every unfinished replica one round.
-
-        Frozen rows are excluded from sampling (and from corruption)
-        and keep their counts; rows that hit the stopping rule this
-        round — checked *after* the adversary's corruption, matching
-        the sequential adversarial chain — record it and freeze.
-        """
-        active = ~self.frozen
-        self.round_index += 1
-        if active.any():
-            with use_backend(self.backend):
-                new_rows = self.dynamics.population_step_batch(
-                    self.counts[active], self.rng
-                )
-            if self.adversary is not None:
-                # The adversary gets its own copy so an in-place-
-                # mutating corrupt_batch cannot defeat the contract
-                # check by changing the "before" matrix too.
-                corrupted = self.adversary.corrupt_batch(
-                    new_rows.copy(), self.rng
-                )
-                new_rows = enforce_corruption_contract_batch(
-                    new_rows, corrupted, self.adversary.budget
-                )
-            self.counts[active] = new_rows
-            active_indices = np.flatnonzero(active)
-            done = active_indices[self._stopped(new_rows)]
-            self.consensus_rounds[done] = self.round_index
-            self.frozen[done] = True
-        if self.record_hook is not None:
-            self.record_hook(self.round_index, self.counts, self.frozen)
-        return self.counts
-
-    def all_consensus(self) -> bool:
-        """True once every replica has stopped."""
-        return bool(self.frozen.all())
-
-    def run_until_consensus(self, max_rounds: int) -> list[RunResult]:
-        """Run until every replica froze or ``max_rounds`` rounds passed.
-
-        Returns one :class:`~repro.engine.runner.RunResult` per replica,
-        in row order: converged replicas report their stopping time and
-        winner (``None`` unless at strict consensus); censored ones
-        report the budget with ``winner=None``.
-        """
-        if max_rounds < 0:
-            raise ConfigurationError(
-                f"max_rounds must be non-negative, got {max_rounds}"
-            )
-        while not self.frozen.all() and self.round_index < max_rounds:
-            self.step()
-        return self.results()
-
-    def results(self) -> list[RunResult]:
-        """Per-replica results for the rounds executed so far.
-
-        ``winner`` uses the dynamics' consensus convention, so an
-        Undecided-State row reports a winner only when a *decided*
-        opinion holds everything (the winning label is then that decided
-        opinion — the undecided slot is empty at consensus).
-        """
-        winners = self.counts.argmax(axis=1)
-        at_consensus = np.asarray(
-            self.dynamics.consensus_mask_batch(self.counts), dtype=bool
+    def _corrupt(self, rows: np.ndarray) -> np.ndarray:
+        """One contract-checked ``corrupt_batch`` of count rows."""
+        # The adversary gets its own copy so an in-place-mutating
+        # corrupt_batch cannot defeat the contract check by changing
+        # the "before" matrix too.
+        corrupted = self.adversary.corrupt_batch(rows.copy(), self.rng)
+        return enforce_corruption_contract_batch(
+            rows, corrupted, self.adversary.budget
         )
-        out: list[RunResult] = []
-        for r in range(self.num_replicas):
-            converged = bool(self.frozen[r])
-            out.append(
-                RunResult(
-                    converged=converged,
-                    rounds=int(self.consensus_rounds[r])
-                    if converged
-                    else self.round_index,
-                    winner=int(winners[r])
-                    if converged and at_consensus[r]
-                    else None,
-                    final_counts=self.counts[r].copy(),
-                )
-            )
-        return out
+
+    def _timing(self, steps: int) -> dict:
+        """``RunResult`` time fields of a row stopped after ``steps``."""
+        return {"rounds": steps}
+
+    def _budget(self, rounds: int) -> tuple[int, str]:
+        """Steps in a budget of ``rounds`` rounds, and how to say it."""
+        return rounds, f"{rounds} rounds"
 
     # ------------------------------------------------------------------
     # Inspection helpers (matrix-level views)
     # ------------------------------------------------------------------
+    @property
+    def counts(self) -> np.ndarray:
+        """The ``(R, k)`` count matrix."""
+        return self._matrix
+
+    @property
+    def round_index(self) -> int:
+        """Synchronous rounds executed so far."""
+        return self._index
+
+    @property
+    def consensus_rounds(self) -> np.ndarray:
+        """Per-replica stopping rounds (-1 while unfinished)."""
+        return self._stop_index
+
     @property
     def alpha(self) -> np.ndarray:
         """Fractional populations, shape ``(R, k)``."""
@@ -322,23 +386,41 @@ class BatchPopulationEngine:
             else ""
         )
         return (
-            f"BatchPopulationEngine({self.dynamics.name}, "
+            f"{type(self).__name__}({self.dynamics.name}, "
             f"R={self.num_replicas}, n={self.num_vertices}, "
-            f"k={self.num_opinions}, round={self.round_index}, "
+            f"k={self.num_opinions}, {self._unit}={self._index}, "
             f"frozen={int(self.frozen.sum())}{adv})"
         )
 
 
-def _run_spec(spec) -> list[RunResult]:
-    """Registry adapter: all R replicas in one vectorised engine.
+def run_to_budget(
+    engine: BatchPopulationEngine, spec
+) -> list[RunResult]:
+    """Registry-adapter tail shared by the batch engines.
 
-    Honors ``spec.on_budget`` like every other engine adapter: with
-    ``"raise"``, censored replicas raise
+    Runs ``engine`` for the spec's round budget, in the engine's own
+    steps, and honours ``spec.on_budget`` like every other engine
+    adapter: with ``"raise"``, censored replicas raise
     :class:`~repro.errors.ConsensusNotReached` here rather than relying
     on the :func:`~repro.simulation.run.execute` dispatcher, so direct
-    ``get_engine("batch").run(spec)`` callers see the same contract as
-    population/agent/async.
+    ``get_engine(name).run(spec)`` callers see the same contract.
     """
+    budget = spec.round_budget()
+    steps, wording = engine._budget(budget)
+    results = engine.run_until_consensus(steps)
+    if spec.on_budget == "raise":
+        censored = sum(1 for result in results if not result.converged)
+        if censored:
+            raise ConsensusNotReached(
+                budget,
+                f"{censored} of {spec.replicas} replicas did not reach "
+                f"consensus within {wording}",
+            )
+    return results
+
+
+def _run_spec(spec) -> list[RunResult]:
+    """Registry adapter: all R replicas in one vectorised engine."""
     engine = BatchPopulationEngine(
         spec.resolved_dynamics(),
         spec.initial_counts(),
@@ -348,17 +430,7 @@ def _run_spec(spec) -> list[RunResult]:
         target=spec.target,
         backend=getattr(spec, "backend", None),
     )
-    budget = spec.round_budget()
-    results = engine.run_until_consensus(budget)
-    if spec.on_budget == "raise":
-        censored = sum(1 for result in results if not result.converged)
-        if censored:
-            raise ConsensusNotReached(
-                budget,
-                f"{censored} of {spec.replicas} replicas did not reach "
-                f"consensus within {budget} rounds",
-            )
-    return results
+    return run_to_budget(engine, spec)
 
 
 register_engine(

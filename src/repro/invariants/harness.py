@@ -211,8 +211,10 @@ def _drive_batch(
     The engine reports its own ``(index, counts, frozen)`` after every
     step, so the trace is the engine's account of itself — the
     invariants then cross-examine it against the ledger and the
-    conservation laws.
+    conservation laws.  All three run the shared batch loop,
+    ``run_until_consensus``; the asynchronous budget is in ticks.
     """
+    budget = max_rounds
     if engine_name == "batch":
         engine = BatchPopulationEngine(
             dynamics,
@@ -223,8 +225,6 @@ def _drive_batch(
             target=target,
             record_hook=trace.snap,
         )
-        budget = max_rounds
-        index_of = lambda: engine.round_index  # noqa: E731
     elif engine_name == "agent-batch":
         base = counts_to_agents(counts)
         opinions = rng.permuted(
@@ -240,8 +240,6 @@ def _drive_batch(
             target=target,
             record_hook=trace.snap,
         )
-        budget = max_rounds
-        index_of = lambda: engine.round_index  # noqa: E731
     else:
         engine = AsyncBatchPopulationEngine(
             dynamics,
@@ -252,8 +250,6 @@ def _drive_batch(
             record_hook=trace.snap,
         )
         budget = max_rounds * trace.n
-        index_of = lambda: engine.tick_index  # noqa: E731
 
     trace.snap(0, engine.counts, engine.frozen)
-    while not engine.all_consensus() and index_of() < budget:
-        engine.step()
+    engine.run_until_consensus(budget)

@@ -42,8 +42,8 @@ Engine semantics
     distribution to ``agent``, not bitwise).
 
 Every engine accepts a spec-level adversary (applied after each round,
-contract-checked); ``population``/``agent``/``batch`` accept a custom
-``target`` stopping predicate.
+contract-checked); ``population``/``agent``/``batch``/``agent-batch``
+accept a custom ``target`` stopping predicate.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ def execute(spec: SimulationSpec) -> ResultSet:
         if key not in degraded_before
     }
     if spec.on_budget == "raise":
-        # All four built-in adapters raise from inside (so direct
+        # All six built-in adapters raise from inside (so direct
         # get_engine(...).run(spec) callers see the same contract);
         # this uniform check covers third-party engines, so any
         # registered engine honours the policy without custom code.

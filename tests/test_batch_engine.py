@@ -27,12 +27,15 @@ from repro.core import (
     Voter,
 )
 from repro.engine import (
+    AsyncBatchPopulationEngine,
+    BatchAgentEngine,
     BatchPopulationEngine,
     PopulationEngine,
     replicate,
     run_until_consensus,
 )
 from repro.errors import ConfigurationError, StateError
+from repro.graphs.complete import CompleteGraph
 
 
 def _sequential_times(dynamics, counts, runs, seed, max_rounds=100_000):
@@ -43,7 +46,39 @@ def _sequential_times(dynamics, counts, runs, seed, max_rounds=100_000):
     return [r.rounds for r in replicate(one, runs, seed=seed)]
 
 
+#: One constructor per batch engine, taking the start and num_replicas.
+_BATCH_ENGINES = {
+    "batch": lambda start, num_replicas: BatchPopulationEngine(
+        ThreeMajority(), start, num_replicas=num_replicas
+    ),
+    "agent-batch": lambda start, num_replicas: BatchAgentEngine(
+        ThreeMajority(),
+        CompleteGraph(start.shape[-1]),
+        start,
+        num_replicas=num_replicas,
+    ),
+    "async-batch": lambda start, num_replicas: AsyncBatchPopulationEngine(
+        ThreeMajority(), start, num_replicas=num_replicas
+    ),
+}
+
+
 class TestConstruction:
+    @pytest.mark.parametrize(
+        "shape,num_replicas",
+        [((0, 10), None), ((0, 10), 0), ((10,), 0)],
+        ids=["no-rows", "no-rows-zero-replicas", "vector-zero-replicas"],
+    )
+    @pytest.mark.parametrize("engine", sorted(_BATCH_ENGINES))
+    def test_rejects_zero_replicas(self, engine, shape, num_replicas):
+        # Unchecked, a (0, width) start escapes as numpy's "need at
+        # least one array to stack" ValueError.  np.ones(10) is a valid
+        # start for every engine: ten opinions of one vertex each as
+        # counts, all ten vertices on opinion 1 as opinions.
+        start = np.ones(shape, dtype=np.int64)
+        with pytest.raises(ConfigurationError, match="replica"):
+            _BATCH_ENGINES[engine](start, num_replicas)
+
     def test_tile_from_single_configuration(self):
         engine = BatchPopulationEngine(
             ThreeMajority(), balanced(100, 4), num_replicas=5, seed=0

@@ -29,6 +29,16 @@ from repro.errors import ConfigurationError
 from repro.graphs.generators import cycle_graph
 from repro.simulation import SimulationSpec, execute
 
+#: Every engine the package registers; each adapter honours on_budget.
+BUILTIN_ENGINES = (
+    "population",
+    "agent",
+    "async",
+    "batch",
+    "agent-batch",
+    "async-batch",
+)
+
 
 class TestRegistryContents:
     def test_builtin_engines_registered(self):
@@ -172,9 +182,7 @@ class TestPluggableEngine:
         finally:
             unregister_engine("stuck")
 
-    @pytest.mark.parametrize(
-        "engine", ["population", "agent", "async", "batch"]
-    )
+    @pytest.mark.parametrize("engine", BUILTIN_ENGINES)
     def test_on_budget_raise_contract_at_adapter_level(self, engine):
         """Every built-in adapter honours on_budget='raise' itself.
 
@@ -198,9 +206,7 @@ class TestPluggableEngine:
         with pytest.raises(ConsensusNotReached):
             get_engine(engine).run(spec)
 
-    @pytest.mark.parametrize(
-        "engine", ["population", "agent", "async", "batch"]
-    )
+    @pytest.mark.parametrize("engine", BUILTIN_ENGINES)
     def test_on_budget_return_yields_censored_results(self, engine):
         spec = SimulationSpec(
             dynamics="voter",

@@ -1,9 +1,13 @@
 """The benchmark tracer's wrap targets must exist in the package.
 
 ``perfbench/tracer.py`` times the repo's layers by wrapping named
-functions and methods with a bare ``getattr``; a target renamed or
-deleted under ``src/`` would crash every traced benchmark run.  These
-checks resolve every target the same way the tracer does.
+functions and methods; a target renamed or deleted under ``src/`` would
+crash every traced benchmark run.  A method target is wrapped only in
+the classes of the named class's subtree that define it in their own
+``__dict__``, so a method the named class merely inherits (say, after
+moving it into a new base class) is never timed and its span quietly
+reports zero calls.  These checks resolve every target the same way the
+tracer does.
 """
 
 from __future__ import annotations
@@ -53,4 +57,15 @@ def test_method_target_resolves(span, module_name, class_name, method):
     )
     assert callable(getattr(cls, method, None)), (
         f"tracer span {span!r}: {class_name}.{method} is gone"
+    )
+    owners = [
+        member
+        for member in TRACER._class_tree(cls)
+        if callable(vars(member).get(method))
+    ]
+    assert cls in owners, (
+        f"tracer span {span!r}: {class_name} inherits {method} instead "
+        f"of defining it, so the tracer never times calls on "
+        f"{class_name} (own definitions in its subtree: "
+        f"{[member.__name__ for member in owners]})"
     )
