@@ -16,6 +16,10 @@ and guards the catalogue against regressions:
   headline ≥5x for Median, Undecided-State and 5-Majority (one
   evaluation of the exact majority-of-h law for all R rows plus one
   batched multinomial, against R single-row law evaluations).
+  2-Choices runs at k = 4096, where about n / k = 24 vertices per row
+  switch and its batch step takes the sparse strategy (only the
+  switching vertices are drawn); 3-Majority and 2-Choices record their
+  ratio without a floor.
 * ``test_no_row_loop_fallback`` — fails if any catalogued dynamics
   loses its ``population_step_batch`` override and silently degrades to
   the row loop.
@@ -38,6 +42,7 @@ from repro.core import (
     HMajority,
     MedianRule,
     ThreeMajority,
+    TwoChoices,
     UndecidedStateDynamics,
     available_dynamics,
     make_dynamics,
@@ -62,6 +67,7 @@ CASES = (
     ),
     ("5-majority", HMajority(5), balanced(N, K), 50, 5.0),
     ("3-majority", ThreeMajority(), balanced(N, K), 100, None),
+    ("2-choices", TwoChoices(), balanced(N, 4096), 3, None),
 )
 
 
@@ -99,6 +105,7 @@ def _study() -> dict:
         rows.append(
             [
                 label,
+                start.size,
                 round(loop_s * 1000, 2),
                 round(batch_s * 1000, 2),
                 round(speedup, 1),
@@ -112,17 +119,27 @@ def test_batch_dynamics_speedup(benchmark):
     print()
     print(
         format_table(
-            ["dynamics", "row loop ms/round", "batch ms/round", "speedup"],
+            [
+                "dynamics",
+                "k",
+                "row loop ms/round",
+                "batch ms/round",
+                "speedup",
+            ],
             study["rows"],
             title=(
                 f"Vectorised population_step_batch vs row-loop fallback "
-                f"(R={REPLICAS}, n={N:,}, k={K}, pre-consensus rounds)"
+                f"(R={REPLICAS}, n={N:,}, pre-consensus rounds)"
             ),
         )
     )
     write_bench_json(
         "batch_dynamics",
-        config={"R": REPLICAS, "n": N, "k": K},
+        config={
+            "R": REPLICAS,
+            "n": N,
+            "k": {label: k for label, k, *_times in study["rows"]},
+        },
         extra={
             "speedups": {
                 label: round(value, 2)
@@ -130,7 +147,7 @@ def test_batch_dynamics_speedup(benchmark):
             },
             "ms_per_round": {
                 label: {"row_loop": loop_ms, "batch": batch_ms}
-                for label, loop_ms, batch_ms, _speedup in study["rows"]
+                for label, _k, loop_ms, batch_ms, _speedup in study["rows"]
             },
         },
     )

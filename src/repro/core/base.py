@@ -433,12 +433,13 @@ class Dynamics(abc.ABC):
         The base implementation loops :meth:`population_step` over rows
         (correct for any dynamics, no speedup).  Every dynamics in the
         catalogue overrides it with a vectorised sampler — 3-Majority and
-        Voter with one batched multinomial, 2-Choices and Undecided-State
-        with a binomial + multinomial pair, the Median rule by mixing
-        per-row closed-form group laws into one batched multinomial, and
-        h-Majority with one batched multinomial over its exact
-        majority-of-h law — which is what
-        makes :class:`~repro.engine.batch.BatchPopulationEngine` fast
+        Voter with one batched multinomial, Undecided-State with a
+        binomial + multinomial pair, 2-Choices with the same pair when
+        many vertices switch and by drawing only the switching vertices
+        when few do, the Median rule by mixing per-row closed-form group
+        laws into one batched multinomial, and h-Majority with one
+        batched multinomial over its exact majority-of-h law — which is
+        what makes :class:`~repro.engine.batch.BatchPopulationEngine` fast
         (``benchmarks/bench_batch_dynamics.py`` guards the overrides and
         tracks the per-dynamics speedups).
         """

@@ -7,11 +7,12 @@ arrays.  :class:`BatchPopulationEngine` instead holds all R replicas as one
 ``(R, k)`` int64 count matrix and advances every *unfinished* replica with
 a single call to the dynamics' ``population_step_batch``.  Every dynamics
 in the catalogue is fully vectorised there: one batched multinomial for
-3-Majority and Voter, a binomial + multinomial pair for 2-Choices and
-Undecided-State, a batched group-law multinomial for the Median rule, and
-one batched multinomial over the exact majority-of-h law for h-Majority
-(``benchmarks/bench_batch_dynamics.py`` guards the overrides and tracks
-the speedups).
+3-Majority and Voter, a binomial + multinomial pair for Undecided-State
+and for 2-Choices when many vertices switch (2-Choices draws only the
+switching vertices when few do), a batched group-law multinomial for the
+Median rule, and one batched multinomial over the exact majority-of-h
+law for h-Majority (``benchmarks/bench_batch_dynamics.py`` guards the
+overrides and tracks the speedups).
 
 Each row is the same Markov chain a single :class:`PopulationEngine` runs
 (the tests check distributional agreement via KS tests), but all rows

@@ -68,9 +68,12 @@ def run(preset: str = "quick", seed: int = 0) -> ExperimentResult:
             rng = next(generators)
             alpha = counts / n
             gamma0 = gamma_of_alpha(alpha)
-            samples = np.empty((m, counts.size), dtype=np.float64)
-            for row in range(m):
-                samples[row] = dynamics.population_step(counts, rng) / n
+            # m i.i.d. one-step transitions from the same configuration:
+            # one batch step over m identical rows.
+            samples = (
+                dynamics.population_step_batch(np.tile(counts, (m, 1)), rng)
+                / n
+            )
             mean = samples.mean(axis=0)
             var = samples.var(axis=0, ddof=1)
             predicted_mean = expected_alpha_next(alpha)

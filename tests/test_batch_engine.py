@@ -222,10 +222,18 @@ class TestDistributionalEquivalence:
     RUNS = 120
 
     @pytest.mark.parametrize(
-        "dynamics", [ThreeMajority(), TwoChoices()], ids=lambda d: d.name
+        "dynamics, counts",
+        [
+            pytest.param(ThreeMajority(), balanced(1024, 8), id="3-majority"),
+            pytest.param(TwoChoices(), balanced(1024, 8), id="2-choices"),
+            # Starts on the sparse 2-Choices batch strategy (about one
+            # switcher per 16 label slots) and ends on the dense one.
+            pytest.param(
+                TwoChoices(), balanced(256, 64), id="2-choices-n256-k64"
+            ),
+        ],
     )
-    def test_consensus_time_distribution_matches(self, dynamics):
-        counts = balanced(1024, 8)
+    def test_consensus_time_distribution_matches(self, dynamics, counts):
         sequential = _sequential_times(
             dynamics, counts, self.RUNS, seed=101
         )

@@ -86,6 +86,15 @@ def _sampled_frequencies(step, reps):
     return {key: count / reps for key, count in freq.items()}
 
 
+def _row_frequencies(rows):
+    """Empirical law of the count vectors in the rows of a matrix."""
+    outcomes, counts = np.unique(rows, axis=0, return_counts=True)
+    return {
+        tuple(int(x) for x in outcome): count / len(rows)
+        for outcome, count in zip(outcomes, counts)
+    }
+
+
 def _compare(exact, sampled, reps, label):
     for key, p in exact.items():
         q = sampled.get(key, 0.0)
@@ -99,6 +108,21 @@ def _compare(exact, sampled, reps, label):
 
 
 REPS = 40_000
+
+#: Two rows of different mass per batch input, so a step that mixes up
+#: per-row offsets shows.  The sparse pair has a dead label between
+#: alive ones and unequal alive counts.
+BATCH_INPUTS = {
+    "dense": ([3, 2, 0], [2, 1, 1]),
+    "sparse": ([2, 1, 1, 0, 0, 0, 0, 0], [0, 0, 0, 1, 2, 0, 2, 1]),
+}
+
+
+def _batch_samples(dynamics, first, second, rng):
+    """REPS steps of each row, drawn by one call on a tiled matrix."""
+    matrix = np.tile(np.asarray([first, second], dtype=np.int64), (REPS, 1))
+    new = dynamics.population_step_batch(matrix, rng)
+    return new[0::2], new[1::2]
 
 
 class TestExactLaws:
@@ -146,6 +170,36 @@ class TestExactLaws:
             REPS,
         )
         _compare(exact, sampled, REPS, "2cho pairs")
+
+    @pytest.mark.parametrize("strategy", sorted(BATCH_INPUTS))
+    def test_two_choices_batch(self, strategy, rng, monkeypatch):
+        dynamics = TwoChoices()
+        called = []
+        for name in ("dense", "sparse"):
+            original = getattr(dynamics, f"_batch_step_{name}")
+
+            def spy(*args, _name=name, _original=original):
+                called.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(dynamics, f"_batch_step_{name}", spy)
+        first, second = BATCH_INPUTS[strategy]
+        samples = _batch_samples(dynamics, first, second, rng)
+        assert called == [strategy]
+        for counts, rows in zip((first, second), samples):
+            exact = _next_count_distribution_2cho(counts)
+            _compare(
+                exact, _row_frequencies(rows), REPS, f"2cho batch {counts}"
+            )
+
+    def test_three_majority_batch(self, rng):
+        first, second = BATCH_INPUTS["dense"]
+        samples = _batch_samples(ThreeMajority(), first, second, rng)
+        for counts, rows in zip((first, second), samples):
+            exact = _next_count_distribution_3maj(counts)
+            _compare(
+                exact, _row_frequencies(rows), REPS, f"3maj batch {counts}"
+            )
 
     def test_two_choices_agent(self, rng):
         counts = [3, 2]

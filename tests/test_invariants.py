@@ -93,6 +93,24 @@ def test_every_engine_dynamics_pair_passes_all_invariants(
     check_trace(trace)
 
 
+def test_batch_two_choices_sparse_step_passes_all_invariants():
+    # About 2 expected switchers per row at n = 64, k = 32, so the batch
+    # step starts on its sparse strategy; the matrix's n = 16, k = 3
+    # inputs only ever select the dense one.
+    trace = run_traced(
+        "batch",
+        "2-choices",
+        n=64,
+        k=32,
+        num_replicas=3,
+        seed=17,
+        max_rounds=400,
+    )
+    assert len(trace.snapshots) >= 1
+    assert trace.num_replicas == 3
+    check_trace(trace)
+
+
 # ---------------------------------------------------------------------
 # Positive matrix: every engine x every adversary strategy
 # ---------------------------------------------------------------------
