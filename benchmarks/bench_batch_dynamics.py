@@ -1,28 +1,28 @@
 """Benchmark ``batchdyn`` — per-dynamics batch-stepping speedups.
 
-Tracks the vectorised ``population_step_batch`` overrides of the
-dynamics that used to fall back to the Python row loop (Median rule,
-Undecided-State, h-Majority), next to the closed-form paper dynamics,
-and guards the catalogue against regressions:
+Tracks each dynamics' vectorised ``population_step_batch`` (the only
+implementation of its synchronous count chain) and guards the catalogue
+against regressions:
 
 * ``test_batch_dynamics_speedup`` — per-round wall-clock of each
-  dynamics' vectorised batch step against the base-class row-loop
-  fallback at R = 64, n = 10^5, on a fixed pre-consensus configuration
-  (the engine freezes finished rows, so pre-consensus stepping is the
-  honest unit of work).  The row-loop baseline is pinned to the
-  ``numpy`` compute backend (an ambient JIT backend would accelerate
-  the baseline's primitives too and flatten every ratio) while the
-  vectorised path runs under the session default.  Asserts the
-  headline ≥5x for Median, Undecided-State and 5-Majority (one
-  evaluation of the exact majority-of-h law for all R rows plus one
-  batched multinomial, against R single-row law evaluations).
-  2-Choices runs at k = 4096, where about n / k = 24 vertices per row
-  switch and its batch step takes the sparse strategy (only the
-  switching vertices are drawn); 3-Majority and 2-Choices record their
-  ratio without a floor.
+  dynamics' batch step on all R rows against R calls of the derived
+  single-vector ``population_step`` (the batch step on one row, which
+  is what ``population`` replication pays per round) at R = 64,
+  n = 10^5, on a fixed pre-consensus configuration (the engine freezes
+  finished rows, so pre-consensus stepping is the honest unit of work).
+  The per-row baseline is pinned to the ``numpy`` compute backend (an
+  ambient JIT backend would accelerate the baseline's primitives too
+  and flatten every ratio) while the vectorised path runs under the
+  session default.  Asserts the headline ≥5x for Undecided-State and
+  5-Majority (one evaluation of the exact majority-of-h law for all R
+  rows plus one batched multinomial, against R single-row law
+  evaluations).  2-Choices runs at k = 4096, where about n / k = 24
+  vertices per row switch and its batch step takes the sparse strategy
+  (only the switching vertices are drawn); 3-Majority, 2-Choices and
+  the Median rule (whose law tensor the baseline also runs, once per
+  row) record their ratio without a floor.
 * ``test_no_row_loop_fallback`` — fails if any catalogued dynamics
-  loses its ``population_step_batch`` override and silently degrades to
-  the row loop.
+  loses its ``population_step_batch`` override.
 
 Run with:  pytest benchmarks/bench_batch_dynamics.py --benchmark-only
 """
@@ -57,7 +57,7 @@ REPLICAS = 64
 #: Round counts are tuned so each case runs long enough to time stably
 #: but stays pre-consensus at n = 10^5.
 CASES = (
-    ("median", MedianRule(), balanced(N, K), 3, 5.0),
+    ("median", MedianRule(), balanced(N, K), 3, None),
     (
         "undecided",
         UndecidedStateDynamics(),
@@ -79,11 +79,9 @@ def _per_round_seconds(dynamics, matrix, rounds, vectorised) -> float:
     else:
         backend = "numpy"  # keep the baseline an honest reference
 
-        # The inherited row loop, even when the subclass overrides it.
+        # R single-row steps: what `population` replication pays.
         def step(counts, generator):
-            return Dynamics.population_step_batch(
-                dynamics, counts, generator
-            )
+            return [dynamics.population_step(row, generator) for row in counts]
 
     with use_backend(backend):
         step(matrix, rng)  # warm-up (allocator, lazy imports, JIT)
@@ -122,13 +120,13 @@ def test_batch_dynamics_speedup(benchmark):
             [
                 "dynamics",
                 "k",
-                "row loop ms/round",
+                "per-row ms/round",
                 "batch ms/round",
                 "speedup",
             ],
             study["rows"],
             title=(
-                f"Vectorised population_step_batch vs row-loop fallback "
+                f"Vectorised population_step_batch vs per-row population_step "
                 f"(R={REPLICAS}, n={N:,}, pre-consensus rounds)"
             ),
         )
@@ -146,7 +144,7 @@ def test_batch_dynamics_speedup(benchmark):
                 for label, value in study["speedups"].items()
             },
             "ms_per_round": {
-                label: {"row_loop": loop_ms, "batch": batch_ms}
+                label: {"per_row": loop_ms, "batch": batch_ms}
                 for label, _k, loop_ms, batch_ms, _speedup in study["rows"]
             },
         },

@@ -23,6 +23,7 @@ Run with:  ``pytest benchmarks/ --benchmark-only``
 from __future__ import annotations
 
 import json
+import subprocess
 import time
 from pathlib import Path
 
@@ -36,9 +37,26 @@ from repro.provenance import git_revision, record_artifact
 OUT_DIR = Path(__file__).parent / "out"
 
 
-def _git_sha() -> str | None:
-    """Current commit SHA, or None outside a git checkout."""
-    return git_revision(Path(__file__).parent)
+def _git_sha(root: Path = Path(__file__).parent.parent) -> str | None:
+    """Commit SHA of the checkout at ``root``, or None outside one.
+
+    The SHA gets a ``+dirty`` suffix when tracked files under ``src/``
+    or ``benchmarks/*.py`` differ from HEAD, so an artefact regenerated
+    before its change is committed does not name the parent commit.
+    ``benchmarks/out/`` is not consulted: every bench rewrites it.
+    """
+    sha = git_revision(root)
+    if sha is None:
+        return None
+    diff = subprocess.run(
+        ["git", "diff", "--quiet", "HEAD", "--"]
+        + ["src", ":(glob)benchmarks/*.py"],
+        cwd=root,
+        capture_output=True,
+        timeout=10,
+    )
+    # ``git diff --quiet`` exits 1 exactly when the paths differ.
+    return sha + "+dirty" if diff.returncode == 1 else sha
 
 
 def write_bench_json(

@@ -15,10 +15,8 @@ from repro.core.base import (
     batch_multinomial_counts,
     gather_neighbor_opinions_batch,
     iter_row_chunks,
-    multinomial_counts,
     sample_and_gather_neighbor_opinions_batch,
     sample_holders_batch,
-    sample_opinions_from_counts,
     sample_opinions_from_counts_batch,
 )
 from repro.core.h_majority import HMajority
@@ -45,10 +43,8 @@ __all__ = [
     "gather_neighbor_opinions_batch",
     "iter_row_chunks",
     "make_dynamics",
-    "multinomial_counts",
     "sample_and_gather_neighbor_opinions_batch",
     "sample_holders_batch",
-    "sample_opinions_from_counts",
     "sample_opinions_from_counts_batch",
     "three_majority_law",
     "two_choices_law",

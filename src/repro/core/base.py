@@ -4,14 +4,19 @@ A *dynamics* (paper Definition 3.1) is the per-round update rule of a
 synchronous consensus process.  Every dynamics in this library implements
 three views of the same Markov chain:
 
-``population_step``
+``population_step_batch``
     The exact count-vector transition on the complete graph with
-    self-loops.  Because vertices there are exchangeable and update
-    independently given the round-(t-1) configuration, the count vector is
-    a sufficient statistic and one round can be sampled *exactly* from
-    closed-form per-vertex laws (paper eqs. (5) and (6)) — typically a
-    handful of multinomial draws, independent of ``n``.  This is what
-    makes ``n = 10^7`` experiments laptop-feasible.
+    self-loops, for R independent replicas stored as the rows of an
+    ``(R, k)`` count matrix.  Because vertices there are exchangeable and
+    update independently given the round-(t-1) configuration, the count
+    vector is a sufficient statistic and one round can be sampled
+    *exactly* from closed-form per-vertex laws (paper eqs. (5) and (6)) —
+    typically a handful of batched multinomial draws for all rows,
+    independent of ``n``.  This is what makes ``n = 10^7`` experiments
+    laptop-feasible.  It is the only implementation of the synchronous
+    count chain: :meth:`Dynamics.population_step`, the single-vector
+    step the sequential engine calls, is derived from it as the batch
+    step on a one-row matrix.
 
 ``agent_step``
     The per-vertex transition on an arbitrary
@@ -58,10 +63,8 @@ __all__ = [
     "batch_multinomial_counts",
     "gather_neighbor_opinions_batch",
     "iter_row_chunks",
-    "multinomial_counts",
     "sample_and_gather_neighbor_opinions_batch",
     "sample_holders_batch",
-    "sample_opinions_from_counts",
     "sample_opinions_from_counts_batch",
 ]
 
@@ -69,42 +72,18 @@ __all__ = [
 #: batched steps whose intermediates scale with more than ``R * k`` —
 #: the agent-level samplers' ``(R, s*n)`` neighbour planes, h-Majority's
 #: ``(R, ~h^3 k / 4)`` product-tree law scratch and the Median rule's
-#: ``(R, k, k)`` group-law tensor.  Dynamics chunk their replica rows so
-#: no *single* scratch array outgrows the budget (see
-#: :func:`iter_row_chunks`); a handful of budget-shaped temporaries
-#: coexist per chunk (sample labels, tree levels, law copies), so size
-#: the knob for peak memory at a few times the budget in bytes.  The
+#: ``(R, k, k)`` group-law tensor or its per-vertex neighbour draws.
+#: Dynamics chunk their replica rows so no *single* scratch array
+#: outgrows the budget (see :func:`iter_row_chunks`); a handful of
+#: budget-shaped temporaries coexist per chunk (sample labels, tree
+#: levels, law copies), so size the knob for peak memory at a few times
+#: the budget in bytes.  The
 #: default of 2**22 elements (~32 MiB at int64) also keeps the per-chunk
 #: working set near cache-resident — measured on a bandwidth-bound
 #: counting pass, per-element cost is flat up to ~4M elements and
 #: roughly quadruples by 16M, so bigger is not faster.  Override per
 #: instance via ``Dynamics.batch_element_budget``.
 BATCH_ELEMENT_BUDGET = 1 << 22
-
-
-def multinomial_counts(
-    n: int,
-    probabilities: np.ndarray,
-    rng: np.random.Generator,
-    dynamics: str = "",
-) -> np.ndarray:
-    """Draw ``Multinomial(n, probabilities)`` with defensive normalisation.
-
-    Floating-point round-off can leave ``probabilities`` summing to
-    ``1 ± 1e-16``; numpy's ``multinomial`` rejects sums above 1, so we
-    renormalise.  A sum that is materially different from 1 indicates a
-    bug in the caller's transition law and raises; pass ``dynamics`` (the
-    caller's name) so the error pinpoints which transition law drifted.
-    """
-    p = np.asarray(probabilities, dtype=np.float64)
-    total = p.sum()
-    if not 0.999999 < total < 1.000001:
-        raise StateError(
-            f"transition probabilities sum to {total!r}, expected 1 "
-            f"(probability vector shape {p.shape}"
-            + (f", dynamics {dynamics!r})" if dynamics else ")")
-        )
-    return rng.multinomial(n, p / total).astype(np.int64)
 
 
 def batch_multinomial_counts(
@@ -115,12 +94,14 @@ def batch_multinomial_counts(
 ) -> np.ndarray:
     """Row-wise ``Multinomial(n[r], probabilities[r])`` for R replicas.
 
-    The batched counterpart of :func:`multinomial_counts`: ``n`` has shape
-    ``(R,)`` and ``probabilities`` shape ``(R, k)``; one vectorised call
-    samples all R rows (numpy broadcasts ``n`` against the leading axes of
-    the probability matrix).  Rows are renormalised defensively; a row
-    materially off 1 raises a :class:`~repro.errors.StateError` naming the
-    offending row, the matrix shape and the dynamics.
+    ``n`` has shape ``(R,)`` and ``probabilities`` shape ``(R, k)``; one
+    vectorised call samples all R rows (numpy broadcasts ``n`` against the
+    leading axes of the probability matrix).  Floating-point round-off can
+    leave a row summing to ``1 ± 1e-16``, and numpy's ``multinomial``
+    rejects sums above 1, so rows are renormalised.  A row materially off
+    1 indicates a bug in the caller's transition law and raises a
+    :class:`~repro.errors.StateError` naming the offending row, the
+    matrix shape and the dynamics.
     """
     p = np.asarray(probabilities, dtype=np.float64)
     totals = p.sum(axis=-1)
@@ -181,22 +162,6 @@ def iter_row_chunks(num_rows: int, elements_per_row: int, element_budget: int):
         yield start, min(start + rows_per_chunk, num_rows)
 
 
-def sample_opinions_from_counts(
-    counts: np.ndarray,
-    size: tuple[int, ...] | int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Sample i.i.d. opinions of uniformly random vertices.
-
-    On the complete graph with self-loops, "the opinion of a random
-    neighbour" is exactly an i.i.d. draw from ``alpha = counts / n``;
-    all population-level agent-style sampling funnels through here.
-    """
-    alpha = np.asarray(counts, dtype=np.float64)
-    alpha = alpha / alpha.sum()
-    return rng.choice(alpha.size, size=size, p=alpha)
-
-
 def sample_opinions_from_counts_batch(
     counts: np.ndarray,
     num_samples: int,
@@ -205,11 +170,11 @@ def sample_opinions_from_counts_batch(
 ) -> np.ndarray:
     """Row-wise i.i.d. opinion samples over an ``(R, k)`` count matrix.
 
-    Returns an ``(R, num_samples)`` matrix whose row ``r`` holds
-    i.i.d. draws from ``counts[r] / counts[r].sum()`` — the batched
-    counterpart of :func:`sample_opinions_from_counts`, with no per-row
-    Python loop.  Exploits exchangeability: per row, the *multiset* of
-    sampled opinions is one multinomial draw; laying it out as label
+    Returns an ``(R, num_samples)`` matrix whose row ``r`` holds i.i.d.
+    draws from ``counts[r] / counts[r].sum()`` (on the complete graph with
+    self-loops, the opinions of uniformly random neighbours), with no
+    per-row Python loop.  Exploits exchangeability: per row, the *multiset*
+    of sampled opinions is one multinomial draw; laying it out as label
     blocks and shuffling within the row (``rng.permuted``) recovers an
     i.i.d. sequence, because a uniformly random arrangement of a
     multinomially drawn multiset has exactly the i.i.d. law.
@@ -414,39 +379,36 @@ class Dynamics(abc.ABC):
     # Exact population-level chain (complete graph with self-loops)
     # ------------------------------------------------------------------
     @abc.abstractmethod
-    def population_step(
-        self, counts: np.ndarray, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Sample the next count vector exactly.
-
-        ``counts`` is a validated int64 vector; implementations must
-        return a fresh int64 vector of the same length and total mass.
-        """
-
     def population_step_batch(
         self, counts: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
         """Advance R independent replicas one round each.
 
         ``counts`` is an ``(R, k)`` int64 matrix, one replica per row;
-        the result has the same shape with every row's mass conserved.
-        The base implementation loops :meth:`population_step` over rows
-        (correct for any dynamics, no speedup).  Every dynamics in the
-        catalogue overrides it with a vectorised sampler — 3-Majority and
-        Voter with one batched multinomial, Undecided-State with a
-        binomial + multinomial pair, 2-Choices with the same pair when
-        many vertices switch and by drawing only the switching vertices
-        when few do, the Median rule by mixing per-row closed-form group
-        laws into one batched multinomial, and h-Majority with one
-        batched multinomial over its exact majority-of-h law — which is
-        what makes :class:`~repro.engine.batch.BatchPopulationEngine` fast
+        the result is a fresh matrix of the same shape with every row's
+        mass conserved.  This is the one implementation of each
+        dynamics' synchronous count chain: there is no row-loop
+        fallback, so a dynamics (third-party ones included) must define
+        it, and :meth:`population_step` derives the single-vector step
+        from it.  Every catalogued dynamics samples all rows in a few
+        vectorised calls (its module and method docstrings say how),
+        which is what makes
+        :class:`~repro.engine.batch.BatchPopulationEngine` fast
         (``benchmarks/bench_batch_dynamics.py`` guards the overrides and
         tracks the per-dynamics speedups).
         """
+
+    def population_step(
+        self, counts: np.ndarray, rng: np.random.Generator
+    ) -> np.ndarray:
+        """Sample the next count vector exactly.
+
+        The batch step on a one-row matrix: ``counts`` is a validated
+        count vector, and the result is a fresh int64 vector of the same
+        length and total mass.
+        """
         counts = np.asarray(counts, dtype=np.int64)
-        return np.stack(
-            [self.population_step(row, rng) for row in counts]
-        )
+        return self.population_step_batch(counts[None, :], rng)[0]
 
     def is_consensus_counts(self, counts: np.ndarray) -> bool:
         """Consensus check for one count vector, per this dynamics.

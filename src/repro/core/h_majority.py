@@ -56,7 +56,6 @@ from repro.core.base import (
     Dynamics,
     batch_multinomial_counts,
     iter_row_chunks,
-    multinomial_counts,
     sample_holders_batch,
 )
 from repro.graphs.base import Graph
@@ -320,18 +319,6 @@ class HMajority(Dynamics):
         ties = ties[..., :k]
         own = poisson[..., c.winning_count] * c.readout
         return law + np.einsum("rkp,prk->rk", own, ties)
-
-    def population_step(
-        self, counts: np.ndarray, rng: np.random.Generator
-    ) -> np.ndarray:
-        alive = np.flatnonzero(counts)
-        if alive.size == 1:
-            return counts.copy()
-        n = int(counts.sum())
-        law = self.law_batch(counts[None, alive] / n)[0]
-        new_counts = np.zeros_like(counts)
-        new_counts[alive] = multinomial_counts(n, law, rng, self.name)
-        return new_counts
 
     def population_step_batch(
         self, counts: np.ndarray, rng: np.random.Generator

@@ -10,6 +10,26 @@ The median rule achieves O(log n) consensus but only *median* validity —
 the winning opinion can be one nobody would call a plurality winner, which
 is why the paper's dynamics remain interesting for k > 2.  It is included
 as a baseline comparator.
+
+The per-vertex law (:meth:`MedianRule.single_vertex_law`) depends only
+on the vertex's current opinion, so on the complete graph with
+self-loops the ``c_{r,m}`` vertices of row ``r`` holding opinion ``m``
+transition as one ``Multinomial(c_{r,m}, law(alpha_r, m))``.  The
+population step (``population_step_batch``, all R replica rows at once;
+``population_step`` runs it on one row) has two exact strategies:
+
+* **law tensor** — the ``(R, k, k)`` tensor of those group laws,
+  flattened into one batched multinomial over the ``R k`` groups;
+  O(R k^2) work independent of ``n``, better at small ``k``;
+* **per vertex** — every vertex's two neighbours drawn as integer
+  positions on its row's vertex line (laid out in label blocks), then
+  the median of three and one ``bincount``; O(sum_r n_r) work, better
+  at large ``k`` (at ``k = n`` the tensor would need ``n^2`` elements
+  per row).
+
+Each call runs the law tensor when ``k^2 R <= TENSOR_STEP_THRESHOLD *
+sum_r n_r`` and the per-vertex strategy otherwise.  The test suite
+checks both against the enumerated one-step law.
 """
 
 from __future__ import annotations
@@ -21,11 +41,22 @@ from repro.core.base import (
     batch_multinomial_counts,
     iter_row_chunks,
     sample_holders_batch,
-    sample_opinions_from_counts,
 )
 from repro.graphs.base import Graph
 
 __all__ = ["MedianRule"]
+
+#: Cost crossover between the two exact population-step strategies: the
+#: law tensor runs when ``k^2 R <= TENSOR_STEP_THRESHOLD * sum_r n_r``,
+#: the per-vertex strategy otherwise.  Measured on a 2-core box
+#: (CPython 3.11, numpy 2.4), tensor over per-vertex time per step from
+#: a balanced start, for n in {1024, 4096, 16384, 65536} and R in
+#: {1, 8}: 0.64-2.2 at k^2 = n, 2.8-4.7 at k^2 = 4n and 11-20 at
+#: k^2 = 16n.  The crossover is near k^2 = n; the threshold stays at 4
+#: so that every step the tensor ran before the per-vertex strategy
+#: joined the batch step keeps its seeded draws.  Correctness does not
+#: depend on it.
+TENSOR_STEP_THRESHOLD = 4.0
 
 
 def _median_of_three(
@@ -44,55 +75,35 @@ class MedianRule(Dynamics):
     name = "median"
     samples_per_round = 2
 
-    def population_step(
-        self, counts: np.ndarray, rng: np.random.Generator
-    ) -> np.ndarray:
-        alive = np.flatnonzero(counts)
-        if alive.size == 1:
-            return counts.copy()
-        n = int(counts.sum())
-        # Vertices are exchangeable within an opinion group; lay them out
-        # in blocks carrying their *actual labels* (order matters for the
-        # median), then sample both neighbours' labels i.i.d. from alpha.
-        own = np.repeat(alive, counts[alive])
-        pool = sample_opinions_from_counts(counts[alive], (n, 2), rng)
-        first = alive[pool[:, 0]]
-        second = alive[pool[:, 1]]
-        new = _median_of_three(own, first, second)
-        return np.bincount(new, minlength=counts.size).astype(np.int64)
-
     def population_step_batch(
         self, counts: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
-        """All R replicas via batched per-group closed-form laws.
+        """All R replicas, by one of two exact strategies.
 
-        The per-vertex median-of-three law (:meth:`single_vertex_law`)
-        depends only on the vertex's current opinion, so the ``c_{r,m}``
-        vertices of row ``r`` holding opinion ``m`` transition as one
-        ``Multinomial(c_{r,m}, law(alpha_r, m))``.  The whole round is
-        therefore an ``(R, k, k)`` law tensor — ``single_vertex_law``
-        vectorised over rows *and* conditioning opinions — flattened
-        into a single batched multinomial over the ``R * k`` groups: one
-        numpy call per round, O(R k^2) work independent of ``n``, versus
-        the O(R n) per-row neighbour sampling of the sequential step.
-        Rows are chunked so the tensor stays within
-        ``batch_element_budget`` scratch elements.
+        The module docstring describes the law-tensor strategy
+        (:meth:`_step_rows`) and the per-vertex one
+        (:meth:`_step_vertices`), and the cost rule that picks one per
+        call.  Rows are chunked so the chosen strategy's dominant
+        scratch array stays within ``batch_element_budget`` elements.
         """
         counts = np.asarray(counts, dtype=np.int64)
         num_rows, k = counts.shape
+        totals = counts.sum(axis=1)
+        if k * k * num_rows <= TENSOR_STEP_THRESHOLD * totals.sum():
+            step, width = self._step_rows, k * k
+        else:
+            step, width = self._step_vertices, 2 * int(totals.max())
         new_counts = np.empty_like(counts)
         for start, stop in iter_row_chunks(
-            num_rows, k * k, self.batch_element_budget
+            num_rows, width, self.batch_element_budget
         ):
-            new_counts[start:stop] = self._step_rows(
-                counts[start:stop], rng
-            )
+            new_counts[start:stop] = step(counts[start:stop], rng)
         return new_counts
 
     def _step_rows(
         self, rows: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
-        """One vectorised round for a chunk of replica rows."""
+        """Law-tensor strategy for a chunk of rows: O(R k^2)."""
         num_rows, k = rows.shape
         totals = rows.sum(axis=1)
         alpha = rows / totals[:, None]
@@ -109,6 +120,33 @@ class MedianRule(Dynamics):
             rows.reshape(-1), law.reshape(-1, k), rng, self.name
         )
         return draws.reshape(num_rows, k, k).sum(axis=1)
+
+    def _step_vertices(
+        self, rows: np.ndarray, rng: np.random.Generator
+    ) -> np.ndarray:
+        """Per-vertex strategy for a chunk of rows: O(sum_r n_r).
+
+        All rows share one flattened vertex line, as in 2-Choices'
+        sparse strategy: row ``r``'s vertices sit in label blocks, each
+        vertex carrying its flat label index ``r * k + j``.  Each vertex
+        draws two positions in its own row's range and reads the labels
+        there; all three flat indices lie in row ``r``, so their median
+        is ``r * k`` plus the median of the labels.
+        """
+        num_rows, k = rows.shape
+        flat = rows.reshape(-1)
+        totals = rows.sum(axis=1)
+        ends = totals.cumsum()
+        own = np.repeat(np.arange(flat.size), flat)
+        vertex_row = np.repeat(np.arange(num_rows), totals)
+        positions = rng.integers(
+            (ends - totals)[vertex_row],
+            ends[vertex_row],
+            size=(2, own.size),
+        )
+        first, second = own[positions]
+        new = _median_of_three(own, first, second)
+        return np.bincount(new, minlength=flat.size).reshape(num_rows, k)
 
     def agent_step(
         self,

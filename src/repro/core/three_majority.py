@@ -15,7 +15,7 @@ On the complete graph with self-loops the per-vertex law is (paper eq. (5))
 
 independent of ``v``'s current opinion, so a synchronous round of the
 whole system is a single draw ``Multinomial(n, p)`` — the population step
-is O(#alive opinions) regardless of ``n``.
+is O(k) regardless of ``n``.
 
 Main theorem being reproduced: consensus time ``~Theta(min{k, sqrt(n)})``
 (Theorem 1.1).
@@ -30,7 +30,6 @@ from repro.core.base import (
     batch_categorical,
     batch_multinomial_counts,
     iter_row_chunks,
-    multinomial_counts,
     sample_and_gather_neighbor_opinions_batch,
     sample_holders_batch,
 )
@@ -56,23 +55,6 @@ class ThreeMajority(Dynamics):
 
     name = "3-majority"
     samples_per_round = 3
-
-    def population_step(
-        self, counts: np.ndarray, rng: np.random.Generator
-    ) -> np.ndarray:
-        n = int(counts.sum())
-        alive = np.flatnonzero(counts)
-        if alive.size == 1:
-            return counts.copy()
-        # Work on the alive support only: dead opinions have p_i = 0 and
-        # can never revive, so dropping them is exact and keeps late
-        # rounds (few survivors) O(1).
-        alpha = counts[alive] / n
-        gamma = float(np.dot(alpha, alpha))
-        law = alpha * (1.0 + alpha - gamma)
-        new_counts = np.zeros_like(counts)
-        new_counts[alive] = multinomial_counts(n, law, rng, self.name)
-        return new_counts
 
     def population_step_batch(
         self, counts: np.ndarray, rng: np.random.Generator

@@ -12,19 +12,8 @@ vertex's current opinion (paper eq. (6)):
 On the complete graph with self-loops, conditioned on round ``t-1`` the
 vertices update independently, so the group of ``c_m`` vertices currently
 holding opinion ``m`` transitions as a multinomial over
-``{stay} + {adopt j}``.  Two exact population-step strategies are
-implemented and selected by cost:
-
-* **per-group multinomials** — O(a^2) per round where ``a`` is the number
-  of alive opinions; ideal when few opinions survive;
-* **direct pair sampling** — draw ``(w1, w2)`` opinion pairs for all ``n``
-  vertices straight from ``alpha``; O(n) per round, better when ``a`` is
-  of order ``sqrt(n)`` or more (e.g. the ``k = n`` balanced start).
-
-Both are exact samplers of the same chain; the test suite checks their
-distributional agreement.
-
-The batch step (``population_step_batch``, all R replica rows at once)
+``{stay} + {adopt j}``.  The population step (``population_step_batch``,
+all R replica rows at once; ``population_step`` runs it on one row)
 samples an equivalent two-stage form of eq. (6): a vertex *switches*
 with probability ``gamma`` and lands on opinion ``j`` with probability
 ``alpha_j^2 / gamma``, where landing on its own opinion means it stays.
@@ -60,20 +49,12 @@ from repro.core.base import (
     Dynamics,
     batch_multinomial_counts,
     iter_row_chunks,
-    multinomial_counts,
     sample_and_gather_neighbor_opinions_batch,
     sample_holders_batch,
 )
 from repro.graphs.base import Graph
 
 __all__ = ["TwoChoices", "two_choices_law"]
-
-#: Cost crossover between the two exact population-step strategies:
-#: per-group multinomials cost about ``a^2`` work and direct pair
-#: sampling about ``n``; the group strategy is used when
-#: ``a^2 <= GROUP_STEP_THRESHOLD * n``.  Measured on CPython 3.11 +
-#: numpy 2; correctness does not depend on it.
-GROUP_STEP_THRESHOLD = 4.0
 
 #: Cost crossover between the two exact batch strategies: the sparse
 #: one runs when the expected number of switching vertices over all
@@ -131,38 +112,6 @@ class TwoChoices(Dynamics):
 
     name = "2-choices"
     samples_per_round = 2
-
-    def population_step(
-        self, counts: np.ndarray, rng: np.random.Generator
-    ) -> np.ndarray:
-        alive = np.flatnonzero(counts)
-        if alive.size == 1:
-            return counts.copy()
-        n = int(counts.sum())
-        if alive.size**2 <= GROUP_STEP_THRESHOLD * n:
-            return self._population_step_groups(counts, alive, n, rng)
-        return self._population_step_pairs(counts, alive, n, rng)
-
-    def _population_step_groups(
-        self,
-        counts: np.ndarray,
-        alive: np.ndarray,
-        n: int,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        """Exact per-group multinomial strategy, O(a^2)."""
-        alpha = counts[alive] / n
-        gamma = float(np.dot(alpha, alpha))
-        adopt = alpha * alpha  # P[adopt j] = alpha_j^2, any j != current
-        new_alive = np.zeros(alive.size, dtype=np.int64)
-        for pos in range(alive.size):
-            group_size = int(counts[alive[pos]])
-            law = adopt.copy()
-            law[pos] = 1.0 - gamma + adopt[pos]
-            new_alive += multinomial_counts(group_size, law, rng, self.name)
-        new_counts = np.zeros_like(counts)
-        new_counts[alive] = new_alive
-        return new_counts
 
     def population_step_batch(
         self, counts: np.ndarray, rng: np.random.Generator
@@ -245,28 +194,6 @@ class TwoChoices(Dynamics):
             minlength=counts.size,
         )
         return counts + moved.reshape(num_rows, k)
-
-    def _population_step_pairs(
-        self,
-        counts: np.ndarray,
-        alive: np.ndarray,
-        n: int,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        """Exact direct pair-sampling strategy, O(n).
-
-        Exploits exchangeability: the multiset of new opinions only
-        depends on how many members of each current-opinion group see an
-        agreeing pair, so we lay vertices out in opinion blocks.
-        """
-        alpha = counts[alive] / n
-        w1 = rng.choice(alive.size, size=n, p=alpha)
-        w2 = rng.choice(alive.size, size=n, p=alpha)
-        own = np.repeat(np.arange(alive.size), counts[alive])
-        new = np.where(w1 == w2, w1, own)
-        new_counts = np.zeros_like(counts)
-        new_counts[alive] = np.bincount(new, minlength=alive.size)
-        return new_counts
 
     def agent_step(
         self,

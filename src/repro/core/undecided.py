@@ -39,7 +39,6 @@ from repro.core.base import (
     Dynamics,
     batch_binomial,
     batch_multinomial_counts,
-    multinomial_counts,
     sample_holders_batch,
 )
 from repro.errors import ConfigurationError, StateError
@@ -100,44 +99,15 @@ class UndecidedStateDynamics(Dynamics):
                 "size"
             )
 
-    def population_step(
-        self, counts: np.ndarray, rng: np.random.Generator
-    ) -> np.ndarray:
-        if counts.size < 2:
-            raise StateError(
-                "undecided dynamics needs a k+1 count vector (k >= 1)"
-            )
-        n = int(counts.sum())
-        k = counts.size - 1
-        alpha = counts / n
-        alpha_u = float(alpha[k])
-        new_counts = np.zeros_like(counts)
-        # Decided groups: stay with probability alpha_i + alpha_u
-        # (clipped: the sum of two count ratios can exceed 1 by an ulp).
-        decided = np.flatnonzero(counts[:k])
-        stay_prob = np.minimum(alpha[decided] + alpha_u, 1.0)
-        stayers = rng.binomial(counts[decided], stay_prob)
-        new_counts[decided] += stayers
-        new_counts[k] += int((counts[decided] - stayers).sum())
-        # Undecided group: adopt a uniformly random vertex's state.
-        undecided_count = int(counts[k])
-        if undecided_count:
-            adopted = multinomial_counts(
-                undecided_count, alpha, rng, self.name
-            )
-            new_counts += adopted
-        return new_counts
-
     def population_step_batch(
         self, counts: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
         """All R replicas via row-wise binomials + one batched multinomial.
 
-        A direct lift of :meth:`population_step` to matrix operands —
-        the population step is already group-wise closed-form, so the
-        batched version is the same two draws on ``(R, k)`` operands:
-        per-group binomial stayers (element-wise over the decided block)
-        and one batched multinomial for every row's undecided pool.
+        The group-wise closed form of the module docstring on ``(R, k)``
+        operands: per-group binomial stayers (element-wise over the
+        decided block) and one batched multinomial for every row's
+        undecided pool.
         """
         counts = np.asarray(counts, dtype=np.int64)
         if counts.ndim != 2 or counts.shape[1] < 2:

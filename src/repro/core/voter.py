@@ -16,7 +16,6 @@ from repro.core.base import (
     Dynamics,
     batch_multinomial_counts,
     iter_row_chunks,
-    multinomial_counts,
     sample_and_gather_neighbor_opinions_batch,
     sample_holders_batch,
 )
@@ -30,18 +29,6 @@ class Voter(Dynamics):
 
     name = "voter"
     samples_per_round = 1
-
-    def population_step(
-        self, counts: np.ndarray, rng: np.random.Generator
-    ) -> np.ndarray:
-        alive = np.flatnonzero(counts)
-        if alive.size == 1:
-            return counts.copy()
-        n = int(counts.sum())
-        alpha = counts[alive] / n
-        new_counts = np.zeros_like(counts)
-        new_counts[alive] = multinomial_counts(n, alpha, rng, self.name)
-        return new_counts
 
     def population_step_batch(
         self, counts: np.ndarray, rng: np.random.Generator

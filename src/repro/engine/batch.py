@@ -123,9 +123,10 @@ class BatchPopulationEngine:
     dynamics:
         Any :class:`~repro.core.base.Dynamics`.  Every catalogued
         dynamics (3-Majority, 2-Choices, Voter, Median, Undecided-State,
-        h-Majority) runs fully vectorised; third-party dynamics without
-        a ``population_step_batch`` override fall back to a row loop
-        (correct, no speedup).
+        h-Majority) runs fully vectorised.  There is no row-loop
+        fallback: ``population_step_batch`` is abstract, so a
+        third-party dynamics must define it (its single-vector
+        ``population_step`` is then derived from it).
     counts:
         Either a 1-D count vector shared by every replica, or an
         ``(R, k)`` matrix giving each replica its own start.  Every row

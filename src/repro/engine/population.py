@@ -5,8 +5,9 @@ conditioned on the previous round, update independently — so the count
 vector is a sufficient statistic and the dynamics' ``population_step``
 samples the next configuration *exactly* (see paper eqs. (5), (6)).  This
 engine therefore simulates the same Markov chain as the agent-level engine
-on :class:`~repro.graphs.complete.CompleteGraph`, at cost independent of
-``n`` for 3-Majority and O(min(a^2, n)) for 2-Choices.
+on :class:`~repro.graphs.complete.CompleteGraph`, at the cost of the
+dynamics' batch step on one row (``population_step`` is derived from
+``population_step_batch``).
 
 Use :class:`~repro.engine.agent.AgentEngine` for any other graph.
 """

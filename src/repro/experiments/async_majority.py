@@ -18,7 +18,7 @@ chains advance tick-by-tick in lockstep inside one
 :class:`~repro.engine.async_batch.AsyncBatchPopulationEngine` (all
 ``num_runs`` replicas of a k-point per Python tick-loop iteration
 instead of ``num_runs`` sequential tick loops), and the synchronous
-side goes through ``engine="batch"``.  Per replica both engines sample
+side goes through the ``batch`` engine.  Per replica both engines sample
 the same chains as the sequential ones — equal in distribution, not in
 realisation, since a batch shares one stream.
 """
@@ -81,7 +81,6 @@ def run(preset: str = "quick", seed: int = 0) -> ExperimentResult:
             num_runs=params["num_runs"],
             max_rounds=int(40.0 * min(k, math.sqrt(n)) * log_n) + 50,
             seed=(seed, 100 + k_idx),
-            engine="batch",
         )
         sync_times = consensus_times(sync_results)
         tick_median = float(np.median(ticks)) if ticks else float("nan")

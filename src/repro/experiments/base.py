@@ -91,22 +91,19 @@ def measure_consensus_times(
     num_runs: int,
     max_rounds: int,
     seed: RandomState = None,
-    engine: str = "population",
 ) -> ResultSet:
     """Replicate a population run; shared by most experiments.
 
-    Thin shim over the unified simulation API: builds a
-    :class:`~repro.simulation.spec.SimulationSpec` and executes it.  The
-    default ``engine="population"`` reproduces the historical per-replica
-    seed streams bit-for-bit; pass ``engine="batch"`` to advance all
-    replicas in one vectorised loop (equal in distribution, not bitwise).
-    The returned :class:`~repro.simulation.results.ResultSet` behaves as
-    the ``list[RunResult]`` this helper used to return.
+    Thin shim over the unified simulation API: builds a ``batch``-engine
+    :class:`~repro.simulation.spec.SimulationSpec`, which advances all
+    replicas in one vectorised loop, and executes it.  The returned
+    :class:`~repro.simulation.results.ResultSet` behaves as the
+    ``list[RunResult]`` this helper used to return.
     """
     spec = SimulationSpec(
         dynamics=dynamics,
         counts=np.asarray(counts, dtype=np.int64),
-        engine=engine,
+        engine="batch",
         replicas=num_runs,
         max_rounds=max_rounds,
         seed=seed,

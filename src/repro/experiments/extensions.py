@@ -13,7 +13,7 @@ baselines of Section 1.1, measured at one (n, k):
 * **baselines** — Voter and Median rule vs. 3-Majority/2-Choices at the
   same (n, k), showing why majority-style aggregation matters.
 
-All population-level sweeps run through ``engine="batch"`` — every
+All population-level sweeps run through the ``batch`` engine — every
 catalogued dynamics now has a vectorised ``population_step_batch``, so
 the replicated h-Majority / undecided / baseline measurements advance
 all replicas as one count matrix instead of a Python replica loop (the
@@ -101,7 +101,6 @@ def run(preset: str = "quick", seed: int = 0) -> ExperimentResult:
             num_runs=params["num_runs"],
             max_rounds=budget,
             seed=(seed, h_idx),
-            engine="batch",
         )
         times = consensus_times(results)
         median = float(np.median(times)) if times.size else float("nan")
@@ -113,7 +112,6 @@ def run(preset: str = "quick", seed: int = 0) -> ExperimentResult:
         num_runs=params["num_runs"],
         max_rounds=budget,
         seed=(seed, 50),
-        engine="batch",
     )
     t3 = float(np.median(consensus_times(closed_form)))
     rows.append(["h-majority", "h=3 (closed form)", k, t3])
@@ -157,7 +155,6 @@ def run(preset: str = "quick", seed: int = 0) -> ExperimentResult:
             num_runs=params["num_runs"],
             max_rounds=budget,
             seed=(seed, 100 + k_idx),
-            engine="batch",
         )
         times = consensus_times(results)
         median = float(np.median(times)) if times.size else float("nan")
@@ -241,7 +238,6 @@ def run(preset: str = "quick", seed: int = 0) -> ExperimentResult:
             num_runs=params["num_runs"],
             max_rounds=budget,
             seed=(seed, baseline_seed),
-            engine="batch",
         )
         times = consensus_times(results)
         median = float(np.median(times)) if times.size else float("inf")

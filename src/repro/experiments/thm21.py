@@ -86,7 +86,6 @@ def run(preset: str = "quick", seed: int = 0) -> ExperimentResult:
                 num_runs=params["num_runs"],
                 max_rounds=budget,
                 seed=child,
-                engine="batch",
             )
             times = consensus_times(results)
             median_time = (

@@ -282,7 +282,7 @@ class JobStore:
         the recorded error is kept until the next attempt overwrites
         it.  Any other state raises :class:`InvalidJobState`.
         """
-        self._transition(
+        row = self._transition(
             job_id,
             expected="dead",
             state="queued",
@@ -290,17 +290,17 @@ class JobStore:
             " heartbeat = NULL, done_points = 0",
             operation="requeue",
         )
-        return self.get(job_id)
+        return self._job_from_row(row)
 
     def cancel(self, job_id: str) -> Job:
         """``queued`` → ``cancelled``; any other state is an error."""
-        self._transition(
+        row = self._transition(
             job_id,
             expected="queued",
             state="cancelled",
             operation="cancel",
         )
-        return self.get(job_id)
+        return self._job_from_row(row)
 
     def requeue_orphans(self) -> int:
         """Return abandoned ``running`` jobs to the queue.
@@ -404,8 +404,13 @@ class JobStore:
         extra_sql: str = "",
         extra_args: tuple = (),
         operation: str,
-    ) -> None:
-        """Guarded state change: fails loudly on a stale transition."""
+    ) -> sqlite3.Row:
+        """Guarded state change: fails loudly on a stale transition.
+
+        Returns the row as written, read inside the same transaction,
+        so no later writer (say, a worker leasing a just-requeued job)
+        can change what the caller reports.
+        """
         now = time.time()
         with self._transaction(operation):
             cursor = self._conn.execute(
@@ -413,9 +418,10 @@ class JobStore:
                 " WHERE id = ? AND state = ?",
                 (state, now, *extra_args, job_id, expected),
             )
+            row = self._require(job_id)
             if cursor.rowcount == 0:
-                row = self._require(job_id)
                 raise InvalidJobState(job_id, row["state"], operation)
+        return row
 
     def _job_from_row(self, row: sqlite3.Row) -> Job:
         return Job(

@@ -280,15 +280,3 @@ class TestBatchMultinomialErrors:
         assert "row 1" in message
         assert "(2, 2)" in message
         assert "3-majority" in message
-
-    def test_scalar_variant_reports_shape_and_dynamics(self):
-        from repro.core import multinomial_counts
-
-        rng = np.random.default_rng(0)
-        with pytest.raises(StateError) as excinfo:
-            multinomial_counts(
-                10, np.asarray([0.9, 0.3]), rng, "2-choices"
-            )
-        message = str(excinfo.value)
-        assert "(2,)" in message
-        assert "2-choices" in message

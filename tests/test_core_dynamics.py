@@ -9,7 +9,6 @@ The load-bearing checks:
   simulation and the vertex-level simulation are the same Markov chain;
 * 3-Majority's "first-two-else-third" rule is majority-of-three with
   uniform tie-breaking (the HMajority(3) cross-check);
-* 2-Choices' two population-step strategies agree in distribution;
 * MedianRule coincides with 2-Choices for k = 2 (the [DGMSS11] remark).
 """
 
@@ -175,57 +174,6 @@ class TestTwoChoicesLaw:
                     p = alpha[a] * alpha[b]
                     law[a if a == b else own] += p
             assert two_choices_law(alpha, own) == pytest.approx(law)
-
-    def test_group_and_pair_strategies_agree(self, rng_factory):
-        """Both exact strategies give the same mean and variance."""
-        counts = np.asarray([300, 200, 100, 400], dtype=np.int64)
-        n = int(counts.sum())
-        dynamics = TwoChoices()
-        alive = np.flatnonzero(counts)
-        reps = 4000
-        group_samples = np.empty((reps, 4))
-        pair_samples = np.empty((reps, 4))
-        rng_a, rng_b = rng_factory(1), rng_factory(2)
-        for row in range(reps):
-            group_samples[row] = dynamics._population_step_groups(
-                counts, alive, n, rng_a
-            )
-            pair_samples[row] = dynamics._population_step_pairs(
-                counts, alive, n, rng_b
-            )
-        mean_gap = np.abs(
-            group_samples.mean(axis=0) - pair_samples.mean(axis=0)
-        )
-        pooled_sem = np.sqrt(
-            group_samples.var(axis=0) / reps
-            + pair_samples.var(axis=0) / reps
-        )
-        assert np.all(mean_gap < 5 * pooled_sem + 1e-9)
-        var_ratio = group_samples.var(axis=0) / pair_samples.var(axis=0)
-        assert np.all((var_ratio > 0.8) & (var_ratio < 1.25))
-
-    @pytest.mark.parametrize(
-        "counts, strategy",
-        [
-            ([50, 50], "groups"),  # a^2 = 4 <= 4n
-            ([1] * 30, "pairs"),  # a^2 = 900 > 4n = 120
-        ],
-    )
-    def test_threshold_dispatch(self, counts, strategy, rng, monkeypatch):
-        dynamics = TwoChoices()
-        called = []
-        for name in ("groups", "pairs"):
-            original = getattr(dynamics, f"_population_step_{name}")
-
-            def spy(*args, _name=name, _original=original):
-                called.append(_name)
-                return _original(*args)
-
-            monkeypatch.setattr(dynamics, f"_population_step_{name}", spy)
-        counts = np.asarray(counts, dtype=np.int64)
-        new = dynamics.population_step(counts, rng)
-        assert called == [strategy]
-        assert new.sum() == counts.sum()
 
     def test_population_step_matches_mean(self, rng):
         n = 100_000

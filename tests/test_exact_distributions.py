@@ -5,19 +5,35 @@ can be enumerated in closed form; these tests compare the engines'
 sampled frequencies against those exact distributions with chi-square
 -style tolerances.  This is the strongest correctness statement in the
 suite: not just matching moments, but matching *laws*.
+
+The reference is one oracle for every dynamics: on the complete graph
+with self-loops the vertices update independently given the current
+configuration, and a vertex's next-opinion law depends on nothing but
+its own opinion, so the next count vector is the convolution over
+opinion groups of one multinomial per group over
+``dynamics.single_vertex_law``.  Each ``single_vertex_law`` is checked
+on its own elsewhere (by enumeration for 3-Majority, 2-Choices, Median
+and h-Majority, by hand-computed values for Undecided-State; Voter's is
+``alpha`` itself), and every ``population_step_batch`` — both
+strategies of 2-Choices and of the Median rule included — is checked
+against the oracle here.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
 import pytest
 
-from repro.core import HMajority, ThreeMajority, TwoChoices, Voter
-from repro.core.three_majority import three_majority_law
-from repro.core.two_choices import two_choices_law
+from repro.core import (
+    HMajority,
+    MedianRule,
+    ThreeMajority,
+    TwoChoices,
+    UndecidedStateDynamics,
+    Voter,
+)
 from repro.graphs import CompleteGraph
 from repro.state import agents_to_counts, counts_to_agents
 
@@ -34,43 +50,37 @@ def _multinomial_pmf(counts, probabilities):
     return math.exp(log_p)
 
 
+def _compositions(n, parts):
+    """Every tuple of ``parts`` non-negative integers summing to ``n``."""
+    if parts == 1:
+        yield (n,)
+        return
+    for first in range(n + 1):
+        for rest in _compositions(n - first, parts - 1):
+            yield (first,) + rest
+
+
 def _multinomial_distribution(n, law):
     """Every outcome of ``Multinomial(n, law)`` with its probability."""
     dist = {}
-    for combo in itertools.product(range(n + 1), repeat=len(law)):
-        if sum(combo) != n:
-            continue
+    for combo in _compositions(n, len(law)):
         p = _multinomial_pmf(combo, law)
         if p > 0:
             dist[combo] = p
     return dist
 
 
-def _next_count_distribution_3maj(counts):
-    """Exact law of the next count vector for 3-Majority."""
-    n = int(sum(counts))
-    return _multinomial_distribution(
-        n, three_majority_law(np.asarray(counts) / n)
-    )
-
-
-def _next_count_distribution_2cho(counts):
-    """Exact law for 2-Choices: convolution of per-group multinomials."""
-    n = int(sum(counts))
-    alpha = np.asarray(counts) / n
-    k = len(counts)
-    dist = {tuple([0] * k): 1.0}
+def _next_count_distribution(dynamics, counts):
+    """Exact law of the next count vector: per-group multinomials over
+    ``dynamics.single_vertex_law``, convolved."""
+    alpha = np.asarray(counts) / sum(counts)
+    dist = {tuple([0] * len(counts)): 1.0}
     for group, size in enumerate(counts):
         if size == 0:
             continue
-        law = two_choices_law(alpha, group)
+        law = dynamics.single_vertex_law(alpha, group)
         new_dist = {}
-        for combo in itertools.product(range(size + 1), repeat=k):
-            if sum(combo) != size:
-                continue
-            p_group = _multinomial_pmf(combo, law)
-            if p_group == 0:
-                continue
+        for combo, p_group in _multinomial_distribution(size, law).items():
             for partial, p_prev in dist.items():
                 key = tuple(a + b for a, b in zip(partial, combo))
                 new_dist[key] = new_dist.get(key, 0.0) + p_prev * p_group
@@ -117,6 +127,25 @@ BATCH_INPUTS = {
     "sparse": ([2, 1, 1, 0, 0, 0, 0, 0], [0, 0, 0, 1, 2, 0, 2, 1]),
 }
 
+#: The Median rule's two strategies, picked by input size: n = 5, k = 3
+#: runs the law tensor (k^2 R <= 4 sum_r n_r) and n = 7, k = 8 the
+#: per-vertex strategy.  Each pair again differs in mass, and the
+#: per-vertex pair has dead labels between alive ones.
+MEDIAN_INPUTS = {
+    "tensor": ([2, 1, 2], [1, 2, 1]),
+    "vertices": ([2, 1, 0, 1, 0, 2, 1, 0], [0, 1, 0, 0, 3, 0, 0, 1]),
+}
+
+#: Single-strategy batch steps besides 3-Majority's (which
+#: ``test_three_majority_batch`` checks): (dynamics, first row, second
+#: row).  Undecided-State rows end in the undecided label, whose mass
+#: differs from every decided label's, so a step that misplaces it shows.
+BATCH_LAW_CASES = {
+    "voter": (Voter(), [3, 2, 0], [2, 1, 1]),
+    "undecided": (UndecidedStateDynamics(), [3, 1, 2], [1, 3, 1]),
+    "5-majority": (HMajority(5), [2, 2, 1], [1, 3, 0]),
+}
+
 
 def _batch_samples(dynamics, first, second, rng):
     """REPS steps of each row, drawn by one call on a tiled matrix."""
@@ -125,11 +154,34 @@ def _batch_samples(dynamics, first, second, rng):
     return new[0::2], new[1::2]
 
 
+def _spy_strategies(dynamics, methods, monkeypatch):
+    """Record, by label, which of ``methods`` (label -> method name) run."""
+    called = []
+    for label, method in methods.items():
+        original = getattr(dynamics, method)
+
+        def spy(*args, _label=label, _original=original):
+            called.append(_label)
+            return _original(*args)
+
+        monkeypatch.setattr(dynamics, method, spy)
+    return called
+
+
+def _compare_batch(dynamics, first, second, rng, label):
+    samples = _batch_samples(dynamics, first, second, rng)
+    for counts, rows in zip((first, second), samples):
+        exact = _next_count_distribution(dynamics, counts)
+        _compare(
+            exact, _row_frequencies(rows), REPS, f"{label} batch {counts}"
+        )
+
+
 class TestExactLaws:
     def test_three_majority_population(self, rng):
         counts = [3, 2]
-        exact = _next_count_distribution_3maj(counts)
         dynamics = ThreeMajority()
+        exact = _next_count_distribution(dynamics, counts)
         base = np.asarray(counts, dtype=np.int64)
         sampled = _sampled_frequencies(
             lambda: dynamics.population_step(base, rng), REPS
@@ -138,8 +190,8 @@ class TestExactLaws:
 
     def test_three_majority_agent_matches_population_law(self, rng):
         counts = [3, 2]
-        exact = _next_count_distribution_3maj(counts)
         dynamics = ThreeMajority()
+        exact = _next_count_distribution(dynamics, counts)
         graph = CompleteGraph(5)
         opinions = counts_to_agents(np.asarray(counts))
         sampled = _sampled_frequencies(
@@ -152,59 +204,51 @@ class TestExactLaws:
 
     def test_two_choices_population(self, rng):
         counts = [3, 2]
-        exact = _next_count_distribution_2cho(counts)
         dynamics = TwoChoices()
+        exact = _next_count_distribution(dynamics, counts)
         base = np.asarray(counts, dtype=np.int64)
         sampled = _sampled_frequencies(
             lambda: dynamics.population_step(base, rng), REPS
         )
         _compare(exact, sampled, REPS, "2cho population")
 
-    def test_two_choices_pair_strategy(self, rng):
-        counts = np.asarray([3, 2], dtype=np.int64)
-        exact = _next_count_distribution_2cho([3, 2])
-        dynamics = TwoChoices()
-        alive = np.flatnonzero(counts)
-        sampled = _sampled_frequencies(
-            lambda: dynamics._population_step_pairs(counts, alive, 5, rng),
-            REPS,
-        )
-        _compare(exact, sampled, REPS, "2cho pairs")
-
     @pytest.mark.parametrize("strategy", sorted(BATCH_INPUTS))
     def test_two_choices_batch(self, strategy, rng, monkeypatch):
         dynamics = TwoChoices()
-        called = []
-        for name in ("dense", "sparse"):
-            original = getattr(dynamics, f"_batch_step_{name}")
-
-            def spy(*args, _name=name, _original=original):
-                called.append(_name)
-                return _original(*args)
-
-            monkeypatch.setattr(dynamics, f"_batch_step_{name}", spy)
+        called = _spy_strategies(
+            dynamics,
+            {name: f"_batch_step_{name}" for name in ("dense", "sparse")},
+            monkeypatch,
+        )
         first, second = BATCH_INPUTS[strategy]
-        samples = _batch_samples(dynamics, first, second, rng)
+        _compare_batch(dynamics, first, second, rng, "2cho")
         assert called == [strategy]
-        for counts, rows in zip((first, second), samples):
-            exact = _next_count_distribution_2cho(counts)
-            _compare(
-                exact, _row_frequencies(rows), REPS, f"2cho batch {counts}"
-            )
 
     def test_three_majority_batch(self, rng):
         first, second = BATCH_INPUTS["dense"]
-        samples = _batch_samples(ThreeMajority(), first, second, rng)
-        for counts, rows in zip((first, second), samples):
-            exact = _next_count_distribution_3maj(counts)
-            _compare(
-                exact, _row_frequencies(rows), REPS, f"3maj batch {counts}"
-            )
+        _compare_batch(ThreeMajority(), first, second, rng, "3maj")
+
+    @pytest.mark.parametrize("strategy", sorted(MEDIAN_INPUTS))
+    def test_median_batch(self, strategy, rng, monkeypatch):
+        dynamics = MedianRule()
+        called = _spy_strategies(
+            dynamics,
+            {"tensor": "_step_rows", "vertices": "_step_vertices"},
+            monkeypatch,
+        )
+        first, second = MEDIAN_INPUTS[strategy]
+        _compare_batch(dynamics, first, second, rng, "median")
+        assert called == [strategy]
+
+    @pytest.mark.parametrize("case", sorted(BATCH_LAW_CASES))
+    def test_batch_step_matches_exact_law(self, case, rng):
+        dynamics, first, second = BATCH_LAW_CASES[case]
+        _compare_batch(dynamics, first, second, rng, case)
 
     def test_two_choices_agent(self, rng):
         counts = [3, 2]
-        exact = _next_count_distribution_2cho(counts)
         dynamics = TwoChoices()
+        exact = _next_count_distribution(dynamics, counts)
         graph = CompleteGraph(5)
         opinions = counts_to_agents(np.asarray(counts))
         sampled = _sampled_frequencies(
@@ -217,8 +261,8 @@ class TestExactLaws:
 
     def test_three_opinions_three_majority(self, rng):
         counts = [2, 1, 1]
-        exact = _next_count_distribution_3maj(counts)
         dynamics = ThreeMajority()
+        exact = _next_count_distribution(dynamics, counts)
         base = np.asarray(counts, dtype=np.int64)
         sampled = _sampled_frequencies(
             lambda: dynamics.population_step(base, rng), REPS
@@ -243,13 +287,7 @@ class TestExactLaws:
 
     def test_voter_exact(self, rng):
         counts = np.asarray([2, 2], dtype=np.int64)
-        alpha = counts / 4
-        exact = {}
-        for combo in itertools.product(range(5), repeat=2):
-            if sum(combo) == 4:
-                p = _multinomial_pmf(combo, alpha)
-                if p > 0:
-                    exact[combo] = p
+        exact = _multinomial_distribution(4, counts / 4)
         dynamics = Voter()
         sampled = _sampled_frequencies(
             lambda: dynamics.population_step(counts, rng), REPS

@@ -386,6 +386,25 @@ class TestDeadLifecycle:
         assert requeued.not_before == 0
         assert requeued.worker is None
 
+    def test_requeue_reports_the_state_it_wrote(self, store, monkeypatch):
+        """A worker's lease landing right after the requeue commits
+        cannot change the state the requeue reports."""
+        job = store.submit(_spec(), client="a")
+        store.lease_next("w")
+        store.fail(job.id, "gave up", dead=True)
+        transition = store._transition
+
+        def transition_then_lease(*args, **kwargs):
+            row = transition(*args, **kwargs)
+            assert store.lease_next("w").id == job.id
+            return row
+
+        monkeypatch.setattr(store, "_transition", transition_then_lease)
+        requeued = store.requeue_dead(job.id)
+        assert requeued.state == "queued"
+        assert requeued.worker is None
+        assert store.get(job.id).state == "running"
+
     def test_requeue_dead_rejects_other_states(self, store):
         from repro.errors import InvalidJobState
 

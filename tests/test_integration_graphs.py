@@ -172,9 +172,9 @@ class TestDegenerateSystems:
         class Leaky(Dynamics):
             name = "leaky"
 
-            def population_step(self, counts, rng):
+            def population_step_batch(self, counts, rng):
                 bad = counts.copy()
-                bad[0] += 1  # creates mass from nothing
+                bad[:, 0] += 1  # creates mass from nothing
                 return bad
 
             def agent_step(self, opinions, graph, rng):

@@ -9,8 +9,12 @@ tampering is caught), and the ``repro verify`` CLI exit codes.
 
 from __future__ import annotations
 
+import importlib.util
 import json
+import shutil
+import subprocess
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -353,3 +357,50 @@ def test_cli_verify_multiple_paths_any_failure_wins(tmp_path, capsys):
     assert main(["verify", str(good), str(bad)]) == 1
     out = capsys.readouterr().out
     assert "ok:" in out and "BROKEN" in out
+
+
+def _bench_git_sha():
+    """``_git_sha`` from the benchmark harness's ``conftest.py``."""
+    path = Path(__file__).parent.parent / "benchmarks" / "conftest.py"
+    spec = importlib.util.spec_from_file_location("bench_conftest", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module._git_sha
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_bench_sha_marks_uncommitted_code_dirty(tmp_path):
+    """A BENCH artefact names HEAD only when the code it ran is HEAD's:
+    a change to src/ or benchmarks/*.py adds ``+dirty``, while the
+    artefacts every bench rewrites under benchmarks/out/ do not."""
+    git_sha = _bench_git_sha()
+
+    def git(*args):
+        return subprocess.run(
+            ["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+            cwd=tmp_path,
+            check=True,
+            capture_output=True,
+            text=True,
+        ).stdout.strip()
+
+    files = {
+        "src/module.py": "x = 1\n",
+        "benchmarks/bench_x.py": "y = 1\n",
+        "benchmarks/out/BENCH_x.json": "{}\n",
+    }
+    for name, body in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(body)
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "seed")
+    head = git("rev-parse", "HEAD")
+    assert git_sha(tmp_path) == head
+    (tmp_path / "benchmarks/out/BENCH_x.json").write_text('{"a": 1}\n')
+    assert git_sha(tmp_path) == head
+    for name in ("src/module.py", "benchmarks/bench_x.py"):
+        (tmp_path / name).write_text("changed = True\n")
+        assert git_sha(tmp_path) == head + "+dirty"
+        git("checkout", "--", name)
+    assert git_sha(tmp_path) == head

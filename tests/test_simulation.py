@@ -556,29 +556,15 @@ class TestResultSet:
 
 
 class TestMeasureConsensusTimesShim:
-    def test_bitwise_compatible_with_seed_streams(self):
-        counts = balanced(512, 8)
-        results = measure_consensus_times(
-            ThreeMajority(), counts, num_runs=4, max_rounds=10_000, seed=9
-        )
-        assert isinstance(results, ResultSet)
-
-        def legacy(rng):
-            engine = PopulationEngine(ThreeMajority(), counts, seed=rng)
-            return run_until_consensus(engine, max_rounds=10_000)
-
-        expected = replicate(legacy, 4, seed=9)
-        assert [r.rounds for r in results] == [
-            r.rounds for r in expected
-        ]
-
     def test_batch_engine_option(self):
+        """The shim always runs the batch engine: one ResultSet of
+        every replica."""
         results = measure_consensus_times(
             ThreeMajority(),
             balanced(512, 8),
             num_runs=6,
             max_rounds=10_000,
             seed=1,
-            engine="batch",
         )
+        assert isinstance(results, ResultSet)
         assert results.num_converged == 6
