@@ -3,15 +3,15 @@
 The ``AsyncBatchPopulationEngine`` advances R asynchronous chains
 tick-by-tick in lockstep, sampling each tick's single-vertex update
 across every active row in one ``async_population_step_batch`` call.
-This benchmark guards the headline acceptance of that engine:
+This benchmark guards the per-tick cost of that engine:
 
-* ``test_async_batch_replication_speedup`` — fixed-tick stepping
-  throughput of the batch engine against ``replicate`` over sequential
-  ``AsyncPopulationEngine`` runs at R = 64 (3-Majority, with the Voter
-  baseline for trend-watching).  Fixed ticks rather than
-  run-to-consensus keep the sequential baseline affordable in CI while
-  measuring the same per-tick hot path; the batch engine must win by
-  at least 10x at R = 64.
+* ``test_async_batch_replication_seconds`` — fixed-tick stepping time
+  of the engine at R = 64 (3-Majority, with Voter recorded for
+  trend-watching).  Fixed ticks rather than run-to-consensus keep the
+  workload the same from run to run.  The 3-Majority run must finish
+  within ``SECONDS_BOUND``, an absolute bound with several-fold
+  headroom over a 2-core machine's 0.09 s; a per-row tick loop over
+  the same 64 chains took over 1 s there.
 The override-presence guard that used to live here is now enforced
 statically by ``repro lint``'s **no-row-loop** rule
 (``src/repro/lint/rules/vectorization.py``).
@@ -23,36 +23,17 @@ from __future__ import annotations
 
 import time
 
-import numpy as np
-
 from conftest import write_bench_json
 from repro.analysis.tables import format_table
 from repro.configs import balanced
 from repro.core import ThreeMajority, Voter
-from repro.engine import AsyncBatchPopulationEngine, AsyncPopulationEngine
-from repro.engine.runner import RunResult, replicate
+from repro.engine import AsyncBatchPopulationEngine
 
 N = 256
 K = 8
 REPLICAS = 64
 TICKS = 600
-SPEEDUP_FLOOR = 10.0  # 3-Majority at R = 64
-
-
-def _sequential_seconds(dynamics, counts, replicas: int) -> float:
-    def one(rng: np.random.Generator) -> RunResult:
-        engine = AsyncPopulationEngine(dynamics, counts, seed=rng)
-        engine.run_ticks(TICKS)
-        return RunResult(
-            converged=False,
-            rounds=0,
-            winner=None,
-            final_counts=engine.counts,
-        )
-
-    started = time.perf_counter()
-    replicate(one, replicas, seed=0)
-    return time.perf_counter() - started
+SECONDS_BOUND = 0.5  # 3-Majority at R = 64
 
 
 def _batch_seconds(dynamics, counts, replicas: int) -> float:
@@ -65,54 +46,49 @@ def _batch_seconds(dynamics, counts, replicas: int) -> float:
 
 
 def _study() -> dict:
-    rows = []
-    measurements: dict[str, tuple[float, float, float]] = {}
-    for dynamics in (ThreeMajority(), Voter()):
-        counts = balanced(N, K)
-        seq_s = _sequential_seconds(dynamics, counts, REPLICAS)
-        batch_s = _batch_seconds(dynamics, counts, REPLICAS)
-        speedup = seq_s / batch_s
-        measurements[dynamics.name] = (seq_s, batch_s, speedup)
-        rows.append(
-            [
-                dynamics.name,
-                REPLICAS,
-                round(seq_s * 1000, 1),
-                round(batch_s * 1000, 1),
-                round(speedup, 1),
-            ]
-        )
-    return {"rows": rows, "measurements": measurements}
+    seconds = {
+        dynamics.name: _batch_seconds(dynamics, balanced(N, K), REPLICAS)
+        for dynamics in (ThreeMajority(), Voter())
+    }
+    rows = [
+        [
+            name,
+            REPLICAS,
+            round(value * 1000, 1),
+            round(value / TICKS * 1e6, 1),
+        ]
+        for name, value in seconds.items()
+    ]
+    return {"rows": rows, "seconds": seconds}
 
 
-def test_async_batch_replication_speedup(benchmark):
+def test_async_batch_replication_seconds(benchmark):
     study = benchmark.pedantic(_study, rounds=1, iterations=1)
     print()
     print(
         format_table(
-            ["dynamics", "R", "sequential ms", "batch ms", "speedup"],
+            ["dynamics", "R", "batch ms", "µs per tick"],
             study["rows"],
             title=(
-                f"Batched vs sequential asynchronous replication "
+                f"Batched asynchronous replication "
                 f"(n={N}, k={K}, {TICKS} ticks each)"
             ),
         )
     )
-    seq_s, batch_s, speedup = study["measurements"]["3-majority"]
+    seconds = study["seconds"]["3-majority"]
     write_bench_json(
         "async_batch",
-        speedup=speedup,
-        baseline_seconds=seq_s,
-        optimised_seconds=batch_s,
+        optimised_seconds=seconds,
         config={"R": REPLICAS, "n": N, "k": K, "ticks": TICKS},
         extra={
-            "speedups": {
-                name: round(values[2], 2)
-                for name, values in study["measurements"].items()
-            }
+            "seconds_bound": SECONDS_BOUND,
+            "seconds": {
+                name: round(value, 6)
+                for name, value in study["seconds"].items()
+            },
         },
     )
-    assert speedup >= SPEEDUP_FLOOR, (
-        f"3-majority async batch speedup {speedup:.1f}x fell below "
-        f"the {SPEEDUP_FLOOR:g}x floor at R={REPLICAS}"
+    assert seconds <= SECONDS_BOUND, (
+        f"3-majority async batch took {seconds:.3f} s for {TICKS} ticks "
+        f"at R={REPLICAS}, above the {SECONDS_BOUND:g} s bound"
     )

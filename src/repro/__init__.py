@@ -30,9 +30,9 @@ Package map
                       undecided, voter, median);
 ``repro.backends``    pluggable compute backends (``numpy`` reference,
                       opt-in ``numba`` JIT kernels for the hot paths);
-``repro.engine``      exact population engine, agent engine, async
-                      engine, vectorised batch-replica engine, run
-                      control;
+``repro.engine``      exact population engine, agent engine,
+                      vectorised batch-replica engines (synchronous,
+                      graph and asynchronous), run control;
 ``repro.simulation``  the unified front door: declarative
                       ``SimulationSpec``, fluent ``Simulation`` builder
                       and ``ResultSet`` aggregates;
@@ -78,7 +78,6 @@ from repro.core import (
 from repro.engine import (
     AgentEngine,
     AsyncBatchPopulationEngine,
-    AsyncPopulationEngine,
     BatchAgentEngine,
     BatchPopulationEngine,
     EngineInfo,
@@ -115,7 +114,6 @@ __all__ = [
     "AgentEngine",
     "ApproximateMajority",
     "AsyncBatchPopulationEngine",
-    "AsyncPopulationEngine",
     "BackendUnavailableError",
     "BatchAgentEngine",
     "BatchPopulationEngine",

@@ -24,10 +24,13 @@ three views of the same Markov chain:
     option off the complete graph.  On the complete graph it must agree
     in distribution with ``population_step`` (tests enforce this).
 
-``async_population_step``
-    One tick of the asynchronous variant ([CMRSS25]): a single uniformly
-    random vertex re-samples its opinion.  ``n`` async ticks correspond to
-    one synchronous round.
+``async_population_step_batch``
+    One tick of the asynchronous variant ([CMRSS25]) for R replicas
+    stored as the rows of an ``(R, k)`` count matrix: in every row a
+    single uniformly random vertex re-samples its opinion.  ``n`` async
+    ticks correspond to one synchronous round.  It is the only
+    implementation of the asynchronous chain; a lone chain is the
+    one-row matrix ``counts[None]``.
 
 Subclasses additionally expose ``expected_alpha_next`` so that the theory
 module and tests can check the one-step mean formulas of Lemma 4.1 against
@@ -498,27 +501,6 @@ class Dynamics(abc.ABC):
     # ------------------------------------------------------------------
     # Asynchronous chain (complete graph with self-loops)
     # ------------------------------------------------------------------
-    def async_population_step(
-        self, counts: np.ndarray, rng: np.random.Generator
-    ) -> np.ndarray:
-        """One asynchronous tick: a single random vertex updates.
-
-        The default implementation draws the updating vertex's current
-        opinion from ``alpha`` and its new opinion from
-        :meth:`single_vertex_law`, then moves one unit of mass.  The input
-        array is modified in place and returned (hot path for ~n^1.5 tick
-        experiments).
-        """
-        n = int(counts.sum())
-        alpha = counts / n
-        old = int(rng.choice(counts.size, p=alpha))
-        law = self.single_vertex_law(alpha, old)
-        new = int(rng.choice(counts.size, p=law))
-        if new != old:
-            counts[old] -= 1
-            counts[new] += 1
-        return counts
-
     def async_population_step_batch(
         self, counts: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
@@ -526,25 +508,25 @@ class Dynamics(abc.ABC):
 
         ``counts`` is an ``(R, k)`` int64 matrix, one replica per row;
         in every row a single uniformly random vertex re-samples its
-        opinion (the same law as :meth:`async_population_step`, applied
-        row-wise).  The matrix is updated in place and returned — the
-        per-tick hot path of
+        opinion from :meth:`single_vertex_law`.  The matrix is updated
+        in place and returned — the per-tick hot path of
         :class:`~repro.engine.async_batch.AsyncBatchPopulationEngine`.
 
-        The base implementation loops :meth:`async_population_step`
-        over rows (correct for any dynamics with a single-vertex law,
-        no speedup).  Every catalogued dynamics overrides it with a
-        vectorised sampler built on :func:`sample_holders_batch` (the
-        updating vertex and any sampled neighbours are integer-exact
-        draws from each row's counts) plus either the combination rule
-        applied label-wise or one :func:`batch_categorical` draw from
-        the closed-form law; ``benchmarks/bench_async_batch.py`` guards
-        the overrides and tracks the speedup.
+        This is the one implementation of each dynamics' asynchronous
+        chain, and there is no row-loop fallback: the base class
+        raises, so a dynamics that ticks asynchronously (third-party
+        ones included) must define it.  It is not abstract, so
+        synchronous-only dynamics stay constructible.  Every catalogued
+        dynamics defines it with a vectorised sampler built on
+        :func:`sample_holders_batch` (the updating vertex and any
+        sampled neighbours are integer-exact draws from each row's
+        counts) plus either the combination rule applied label-wise or
+        one :func:`batch_categorical` draw from the closed-form law.
         """
-        counts = np.asarray(counts, dtype=np.int64)
-        for row in counts:
-            self.async_population_step(row, rng)
-        return counts
+        raise NotImplementedError(
+            f"{type(self).__name__} does not define "
+            "async_population_step_batch"
+        )
 
     def single_vertex_law(
         self, alpha: np.ndarray, current_opinion: int

@@ -342,26 +342,6 @@ class HMajority(Dynamics):
         samples = opinions[graph.sample_neighbors(rng, self.h)]
         return majority_winners(samples, rng)
 
-    def async_population_step(
-        self, counts: np.ndarray, rng: np.random.Generator
-    ) -> np.ndarray:
-        """One asynchronous tick, sampled like the batched tick.
-
-        The updating vertex and its ``h`` neighbours are integer-exact
-        draws of uniformly random vertices; the vertex moves to the
-        neighbours' plurality opinion, ties broken uniformly.  That is a
-        draw from :meth:`single_vertex_law` at a fraction of the cost of
-        evaluating the law once per tick.  ``counts`` is updated in
-        place and returned.
-        """
-        draws = sample_holders_batch(counts[None], self.h + 1, rng)[0]
-        tally = np.bincount(draws[1:], minlength=counts.size)
-        leaders = np.flatnonzero(tally == tally.max())
-        new = leaders[rng.integers(leaders.size)]
-        counts[draws[0]] -= 1
-        counts[new] += 1
-        return counts
-
     def async_population_step_batch(
         self, counts: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:

@@ -116,25 +116,6 @@ class ThreeMajority(Dynamics):
         # The 3-Majority law does not depend on the current opinion.
         return three_majority_law(alpha)
 
-    def async_population_step(
-        self, counts: np.ndarray, rng: np.random.Generator
-    ) -> np.ndarray:
-        # Specialised for speed: the new opinion is independent of the
-        # current one, so only the destination needs the full law.
-        n = int(counts.sum())
-        alive = np.flatnonzero(counts)
-        if alive.size == 1:
-            return counts
-        alpha = counts[alive] / n
-        gamma = float(np.dot(alpha, alpha))
-        law = alpha * (1.0 + alpha - gamma)
-        old = int(rng.choice(alive, p=alpha))
-        new = int(alive[rng.choice(alive.size, p=law / law.sum())])
-        if new != old:
-            counts[old] -= 1
-            counts[new] += 1
-        return counts
-
     def async_population_step_batch(
         self, counts: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:

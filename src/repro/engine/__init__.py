@@ -3,10 +3,10 @@
 * :class:`PopulationEngine` — exact count-vector chain on the complete
   graph with self-loops (the paper's setting);
 * :class:`AgentEngine` — per-vertex chain on arbitrary graphs;
-* :class:`AsyncPopulationEngine` — one-vertex-per-tick chain
-  ([CMRSS25] model);
-* :class:`AsyncBatchPopulationEngine` — R asynchronous chains advanced
-  tick-by-tick in lockstep as one vectorised ``(R, k)`` count matrix;
+* :class:`AsyncBatchPopulationEngine` — the one-vertex-per-tick chain
+  ([CMRSS25] model): R chains advanced tick-by-tick in lockstep as one
+  vectorised ``(R, k)`` count matrix, registered as ``async-batch`` and
+  ``async``;
 * :class:`BatchPopulationEngine` — R replicas as one vectorised
   ``(R, k)`` count matrix, and the replica run loop the other two
   batch engines subclass;
@@ -21,7 +21,6 @@
 from repro.engine.agent import AgentEngine
 from repro.engine.agent_batch import BatchAgentEngine
 from repro.engine.async_batch import AsyncBatchPopulationEngine
-from repro.engine.asynchronous import AsyncPopulationEngine
 from repro.engine.batch import BatchPopulationEngine
 from repro.engine.callbacks import (
     FunctionObserver,
@@ -61,7 +60,6 @@ from repro.state import (
 __all__ = [
     "AgentEngine",
     "AsyncBatchPopulationEngine",
-    "AsyncPopulationEngine",
     "BatchAgentEngine",
     "BatchPopulationEngine",
     "Engine",

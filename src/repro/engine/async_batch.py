@@ -1,23 +1,20 @@
-"""Vectorised asynchronous batch engine: R async chains in lockstep.
+"""Asynchronous engine: R [CMRSS25] chains advanced in lockstep.
 
-The [CMRSS25] asynchronous model updates one uniformly random vertex per
-tick, so ticks are inherently sequential *in time* — the law changes
-after every tick and there is nothing to vectorise within one chain.
-What *can* be vectorised is replication: R independent asynchronous
-chains advanced tick-by-tick in lockstep as one ``(R, k)`` count matrix,
-with each tick's single-vertex update sampled across every active row
-in one call to the dynamics' ``async_population_step_batch``.  A
-``replicate``-style asynchronous workload then costs one vectorised
-Python loop over ticks instead of R sequential ones — the same
-replica-axis trick as :class:`~repro.engine.batch.BatchPopulationEngine`
-applied to the paper's sync-vs-async ``~O(min(kn, n^{3/2}))``
-comparison (``benchmarks/bench_async_batch.py`` tracks the speedup).
+In the asynchronous model of [CMRSS25] (paper Section 1.1) one
+uniformly random vertex updates its opinion per tick; ``n`` ticks
+correspond to one synchronous round.  Ticks are inherently sequential
+*in time* — the law changes after every tick — so what vectorises is
+replication: R independent chains advance tick-by-tick in lockstep as
+one ``(R, k)`` count matrix, each tick one call to the dynamics'
+``async_population_step_batch`` on the active rows.  A lone chain is
+the one-row case.  This is the only asynchronous engine: the registry
+names ``async`` and ``async-batch`` both run it.
 
-Each row is the same Markov chain a single
-:class:`~repro.engine.asynchronous.AsyncPopulationEngine` runs (the
-tests check distributional agreement via KS tests), but all rows share
-one generator, so a batch run is equal to R seeded sequential runs in
-distribution, not in realisation.
+Each row is the [CMRSS25] chain: ``tests/test_exact_distributions.py``
+checks the one-tick law and the consensus-tick law of every catalogued
+dynamics against exact small-chain oracles.  All rows share one
+generator, so R rows equal R separately seeded chains in distribution,
+not in realisation.
 
 The run loop — frozen rows, the adversary contract, ``record_hook``,
 results and the ``on_budget`` tail — is that of
@@ -31,8 +28,8 @@ chain changes:
   ``target``.
 * **Corruption** — an optional F-bounded adversary corrupts every active
   row once per synchronous-equivalent round, on every ``n``-th tick:
-  the same [GL18] budget translation as the sequential asynchronous
-  engine.
+  the natural translation of the [GL18] "F per round" budget into the
+  asynchronous model.
 * **Units** — ``tick_index`` and ``consensus_ticks`` count ticks;
   results report synchronous-equivalent ``ceil(ticks / n)`` rounds with
   the raw count in ``metrics["ticks"]``, and a spec's round budget is
@@ -62,12 +59,13 @@ class AsyncBatchPopulationEngine(BatchPopulationEngine):
 
     Takes the parameters of
     :class:`~repro.engine.batch.BatchPopulationEngine` except
-    ``target``.  Every catalogued dynamics ticks fully vectorised via
-    its ``async_population_step_batch`` override; third-party dynamics
-    without one fall back to a per-row loop over
-    ``async_population_step`` (correct, no speedup).  The adversary
-    corrupts on every ``n``-th tick, and ``record_hook`` is called per
-    tick with the tick index.
+    ``target``.  Each tick is one call to the dynamics'
+    ``async_population_step_batch`` on the active rows; there is no
+    row-loop fallback, so a third-party dynamics must define it (the
+    base class raises ``NotImplementedError`` on the first tick).  A
+    lone chain is ``num_replicas=1``.  The adversary corrupts on every
+    ``n``-th tick, and ``record_hook`` is called per tick with the tick
+    index.
 
     Attributes
     ----------
@@ -120,18 +118,16 @@ class AsyncBatchPopulationEngine(BatchPopulationEngine):
         # Cheap hot-path filter first (one row-wise max); only rows
         # where a single label holds everything pay the dynamics' own
         # convention check — for Undecided-State an all-undecided row
-        # never freezes (it surfaces as censored), exactly like the
-        # sequential async engine.
+        # never freezes (it surfaces as censored).
         hit = rows.max(axis=1) == self.num_vertices
         if hit.any():
             hit[hit] = super()._stopped(rows[hit])
         return hit
 
     def _timing(self, ticks: int) -> dict:
-        """Synchronous-equivalent ``ceil(ticks / n)`` rounds (the
-        sequential ``async`` adapter's convention, so batched and
-        sequential measurements aggregate in the same units), with the
-        raw ticks in ``metrics["ticks"]``."""
+        """Synchronous-equivalent ``ceil(ticks / n)`` rounds, so
+        asynchronous and synchronous measurements aggregate in the same
+        units, with the raw ticks in ``metrics["ticks"]``."""
         return {
             "rounds": math.ceil(ticks / self.num_vertices),
             "metrics": {"ticks": ticks},
@@ -184,8 +180,7 @@ class AsyncBatchPopulationEngine(BatchPopulationEngine):
 def _run_spec(spec) -> list[RunResult]:
     """Registry adapter: all R asynchronous replicas in one engine.
 
-    The spec's round budget is interpreted as ``max_rounds * n`` ticks,
-    like the sequential ``async`` adapter.
+    The spec's round budget is interpreted as ``max_rounds * n`` ticks.
     """
     engine = AsyncBatchPopulationEngine(
         spec.resolved_dynamics(),
@@ -198,6 +193,12 @@ def _run_spec(spec) -> list[RunResult]:
     return run_to_budget(engine, spec)
 
 
+_CAPABILITIES = dict(
+    supports_target=False,
+    supports_observers=False,
+    supports_adversary=True,
+)
+
 register_engine(
     "async-batch",
     _run_spec,
@@ -205,7 +206,15 @@ register_engine(
         "R one-vertex-per-tick chains advanced in lockstep as one "
         "(R, k) count matrix"
     ),
-    supports_target=False,
-    supports_observers=False,
-    supports_adversary=True,
+    **_CAPABILITIES,
+)
+# The [CMRSS25] model's own name runs the same engine.
+register_engine(
+    "async",
+    _run_spec,
+    description=(
+        "one-vertex-per-tick chain ([CMRSS25] model); another name "
+        "for async-batch"
+    ),
+    **_CAPABILITIES,
 )

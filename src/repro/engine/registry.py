@@ -48,7 +48,7 @@ class Engine(Protocol):
     Anything exposing ``step()``, ``counts`` and ``round_index`` can be
     driven by :func:`~repro.engine.runner.run_until_consensus`; the
     population, agent and batch engines all conform (the asynchronous
-    engines conform with ``round_index`` measured in
+    engine conforms with ``round_index`` measured in
     synchronous-equivalent rounds).
     """
 

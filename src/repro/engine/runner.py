@@ -73,8 +73,9 @@ def run_until_consensus(
     engine:
         Any object with ``step()``, ``counts`` and ``round_index`` —
         i.e. :class:`~repro.engine.population.PopulationEngine` or
-        :class:`~repro.engine.agent.AgentEngine` (the asynchronous engine
-        has its own tick-based loop).
+        :class:`~repro.engine.agent.AgentEngine` (the asynchronous chain
+        runs on :class:`~repro.engine.async_batch.
+        AsyncBatchPopulationEngine`, whose replica loop counts ticks).
     max_rounds:
         Hard budget on rounds executed by *this call*.
     observers:

@@ -7,20 +7,21 @@ per-observation count matrices and frozen masks, plus the adversary's
 ledger.  The recording channel differs per family but the trace format
 does not:
 
-* batch engines (``batch`` / ``agent-batch`` / ``async-batch``) record
-  through their opt-in ``record_hook`` — the engine calls back after
-  every step/tick with its own state, so the trace sees exactly what
-  the engine saw;
-* sequential engines (``population`` / ``agent`` / ``async``) are
-  stepped directly and snapshotted through their public
-  ``counts``/``round_index`` surface — the same observation contract
-  the sequential :class:`~repro.engine.callbacks.Observer` callbacks
-  use, with the single run traced as replica row 0.
+* batch engines (``batch`` / ``agent-batch`` / ``async-batch``, and
+  ``async``, which is another name for ``async-batch``) record through
+  their opt-in ``record_hook`` — the engine calls back after every
+  step/tick with its own state, so the trace sees exactly what the
+  engine saw;
+* sequential engines (``population`` / ``agent``) are stepped directly
+  and snapshotted through their public ``counts``/``round_index``
+  surface — the same observation contract the sequential
+  :class:`~repro.engine.callbacks.Observer` callbacks use, with the
+  single run traced as replica row 0.
 
 Adversaries are wrapped in
 :class:`~repro.invariants.trace.LedgerAdversary` before the engine
 ever sees them, so budget accounting is measured at the corruption
-call sites, uniformly for all six engines.
+call sites, uniformly for every registered engine.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from repro.core.undecided import UndecidedStateDynamics, with_undecided_slot
 from repro.engine import (
     AgentEngine,
     AsyncBatchPopulationEngine,
-    AsyncPopulationEngine,
     BatchAgentEngine,
     BatchPopulationEngine,
     PopulationEngine,
@@ -48,8 +48,7 @@ from repro.state import counts_to_agents
 
 __all__ = ["run_traced"]
 
-_SEQUENTIAL = ("population", "agent", "async")
-_BATCH = ("batch", "agent-batch", "async-batch")
+_SEQUENTIAL = ("population", "agent")
 
 
 def run_traced(
@@ -165,9 +164,7 @@ def _drive_sequential(
         engine = PopulationEngine(
             dynamics, counts, seed=rng, adversary=ledger
         )
-        budget = max_rounds
-        index_of = lambda: engine.round_index  # noqa: E731
-    elif engine_name == "agent":
+    else:
         graph = CompleteGraph(trace.n)
         opinions = counts_to_agents(counts, rng=rng, shuffle=True)
         engine = AgentEngine(
@@ -178,21 +175,13 @@ def _drive_sequential(
             seed=rng,
             adversary=ledger,
         )
-        budget = max_rounds
-        index_of = lambda: engine.round_index  # noqa: E731
-    else:
-        engine = AsyncPopulationEngine(
-            dynamics, counts, seed=rng, adversary=ledger
-        )
-        budget = max_rounds * trace.n
-        index_of = lambda: engine.tick_index  # noqa: E731
 
     done = stopped(engine.counts)
     trace.snap(0, engine.counts, [done])
-    while not done and index_of() < budget:
+    while not done and engine.round_index < max_rounds:
         engine.step()
         done = stopped(engine.counts)
-        trace.snap(index_of(), engine.counts, [done])
+        trace.snap(engine.round_index, engine.counts, [done])
 
 
 def _drive_batch(

@@ -9,18 +9,21 @@ concrete ``Dynamics`` subclass in ``core/``:
 * the vectorized overrides *exist* — ``population_step_batch`` and
   ``async_population_step_batch`` for every catalogue dynamics, plus
   ``agent_step_batch`` for the pull-based paper trio — because a
-  deleted override silently falls back to the base class's row loop,
-  which scanning the subclass alone can't see; and
+  deleted override falls back to the base class, which scanning the
+  subclass alone can't see: ``population_step_batch`` is abstract,
+  ``async_population_step_batch`` raises ``NotImplementedError`` on
+  the first tick and ``agent_step_batch`` is a row loop; and
 * no ``*_batch`` override contains a Python loop, with an explicit
   allowlist for scratch-memory chunk iterators
   (``for start, stop in iter_row_chunks(...)``), which iterate over
   O(budget) chunks, not O(R) rows.
 
-The abstract base class in ``base.py`` keeps its documented row-loop
-fallbacks: it subclasses ``abc.ABC``, not ``Dynamics``, so it is
-outside this rule's scope by construction.  This replaces the runtime
-row-loop guards previously duplicated across three benchmark modules
-(``bench_batch_dynamics.py`` keeps one as a belt-and-braces check).
+The abstract base class in ``base.py`` keeps its documented
+``agent_step_batch`` row loop: it subclasses ``abc.ABC``, not
+``Dynamics``, so it is outside this rule's scope by construction.
+This replaces the runtime row-loop guards previously duplicated across
+three benchmark modules (``bench_batch_dynamics.py`` keeps one as a
+belt-and-braces check).
 """
 
 from __future__ import annotations
@@ -102,8 +105,8 @@ class NoRowLoopRule:
                     rule=self.name,
                     message=(
                         f"{cls.name} does not override {name}; without it "
-                        "the base class row-loop fallback runs and the "
-                        "batch engines lose their speedup"
+                        "the batch engines get the base class version, "
+                        "which is abstract, raises or loops over rows"
                     ),
                 )
         for name, method in methods.items():

@@ -19,16 +19,15 @@ Engine semantics
     gets child ``i``, so results are order-independent).  The agent
     engine shuffles vertex identities per replica, which matters on
     non-complete graphs.
-``async``
-    One-vertex-per-tick chain; the round budget is interpreted as
-    ``max_rounds * n`` ticks and the reported ``rounds`` is the
-    synchronous-equivalent ``ceil(ticks / n)``, with the raw tick count
-    in ``metrics["ticks"]``.
-``async-batch``
-    All R asynchronous replicas advance tick-by-tick in lockstep inside
-    one :class:`~repro.engine.async_batch.AsyncBatchPopulationEngine`
-    (same budget and reporting conventions as ``async``; equal in
-    distribution to R sequential ``async`` runs, not bitwise).
+``async-batch`` / ``async``
+    The one-vertex-per-tick [CMRSS25] chain: all R replicas advance
+    tick-by-tick in lockstep inside one
+    :class:`~repro.engine.async_batch.AsyncBatchPopulationEngine`.  The
+    two names run the same adapter, so a seeded ``async`` spec returns
+    exactly what ``async-batch`` returns.  The round budget is
+    interpreted as ``max_rounds * n`` ticks and the reported ``rounds``
+    is the synchronous-equivalent ``ceil(ticks / n)``, with the raw tick
+    count in ``metrics["ticks"]``.
 ``batch``
     All R replicas advance in lockstep inside one
     :class:`~repro.engine.batch.BatchPopulationEngine` — the same chain

@@ -105,11 +105,10 @@ class SimulationSpec:
     engine:
         Any engine registered in :mod:`repro.engine.registry`:
         ``"population"`` (exact count chain), ``"agent"`` (per-vertex on
-        a graph), ``"async"`` (one vertex per tick), ``"batch"``
-        (vectorised multi-replica count matrix), ``"agent-batch"``
-        (vectorised multi-replica opinion matrix on a graph) or
-        ``"async-batch"`` (R asynchronous chains advanced tick-by-tick
-        in lockstep).
+        a graph), ``"batch"`` (vectorised multi-replica count matrix),
+        ``"agent-batch"`` (vectorised multi-replica opinion matrix on a
+        graph) or ``"async-batch"`` (R one-vertex-per-tick chains
+        advanced in lockstep; ``"async"`` is another name for it).
     graph:
         Substrate for the graph-capable engines (``agent`` /
         ``agent-batch``); defaults to the complete graph.

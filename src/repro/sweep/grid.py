@@ -31,6 +31,7 @@ import hashlib
 import itertools
 import json
 import os
+import threading
 import time
 from collections.abc import Callable, Mapping
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -400,7 +401,7 @@ STALE_TMP_MAX_AGE = 3600.0
 
 
 def _sweep_stale_tmp(cache: Path, *, max_age: float | None = None) -> int:
-    """Delete orphaned ``.{name}.{pid}.tmp`` litter from ``cache``.
+    """Delete orphaned ``.{name}.{pid}.{thread_id}.tmp`` litter.
 
     A process crashing between temp-write and ``os.replace`` (the
     window the ``sweep.cache-write`` fault point exercises) leaves its
@@ -435,10 +436,12 @@ def _write_point_atomic(cache_file: Path, payload: dict) -> None:
     ``os.replace`` is atomic on POSIX and Windows within a filesystem,
     so readers only ever observe a complete document — last writer
     wins, and both writers produce the same values anyway because the
-    point owns its seed stream.
+    point owns its seed stream.  The temp name carries the process and
+    thread ids, so two threads of one process (the service's workers)
+    never write into, or publish, each other's temp file.
     """
     tmp = cache_file.with_name(
-        f".{cache_file.name}.{os.getpid()}.tmp"
+        f".{cache_file.name}.{os.getpid()}.{threading.get_ident()}.tmp"
     )
     document = json.dumps(payload)
     tmp.write_text(document)

@@ -20,7 +20,6 @@ from repro.configs import balanced, two_block
 from repro.core import ThreeMajority
 from repro.engine import (
     AgentEngine,
-    AsyncPopulationEngine,
     PopulationEngine,
 )
 from repro.errors import ConfigurationError, StateError
@@ -220,19 +219,6 @@ class TestUnifiedEngineAdversaries:
         )
         with pytest.raises(ConfigurationError, match="exceeding"):
             engine.step()
-
-    def test_async_engine_corrupts_once_per_round(self):
-        n = 120
-        engine = AsyncPopulationEngine(
-            ThreeMajority(),
-            balanced(n, 3),
-            seed=4,
-            adversary=ReviveWeakest(2),
-        )
-        for _ in range(3 * n):
-            engine.step()
-            assert engine.counts.sum() == n
-        assert engine.tick_index == 3 * n
 
     def test_agent_engine_lifts_count_corruption_onto_vertices(self):
         n, k = 300, 3

@@ -15,7 +15,7 @@ from repro.configs import balanced
 from repro.core import ThreeMajority
 from repro.engine import (
     AgentEngine,
-    AsyncPopulationEngine,
+    AsyncBatchPopulationEngine,
     BatchPopulationEngine,
     Engine,
     PopulationEngine,
@@ -257,7 +257,9 @@ class TestEngineProtocol:
             BatchPopulationEngine(
                 ThreeMajority(), counts, num_replicas=2, seed=0
             ),
-            AsyncPopulationEngine(ThreeMajority(), counts, seed=0),
+            AsyncBatchPopulationEngine(
+                ThreeMajority(), counts, num_replicas=1, seed=0
+            ),
             AgentEngine(
                 ThreeMajority(),
                 cycle_graph(60),

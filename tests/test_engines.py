@@ -1,4 +1,4 @@
-"""Tests for the engines: population, agent, asynchronous."""
+"""Tests for the engines: population, agent, asynchronous (one row)."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from repro.configs import balanced, two_block
 from repro.core import ThreeMajority, TwoChoices, Voter
 from repro.engine import (
     AgentEngine,
-    AsyncPopulationEngine,
+    AsyncBatchPopulationEngine,
     PopulationEngine,
 )
 from repro.errors import ConfigurationError, StateError
@@ -139,11 +139,17 @@ class TestAgentEngine:
         assert engine.alpha.tolist() == [0.5, 0.5]
 
 
-class TestAsyncPopulationEngine:
-    def test_one_tick_moves_at_most_one(self):
-        engine = AsyncPopulationEngine(
-            ThreeMajority(), [50, 50], seed=0
+class TestAsyncChain:
+    """A lone asynchronous chain: the async engine with one row."""
+
+    @staticmethod
+    def _chain(dynamics, counts, seed):
+        return AsyncBatchPopulationEngine(
+            dynamics, counts, num_replicas=1, seed=seed
         )
+
+    def test_one_tick_moves_at_most_one(self):
+        engine = self._chain(ThreeMajority(), [50, 50], seed=0)
         before = engine.counts.copy()
         engine.step()
         moved = np.abs(engine.counts - before).sum()
@@ -151,40 +157,32 @@ class TestAsyncPopulationEngine:
         assert engine.tick_index == 1
 
     def test_round_index_fractional(self):
-        engine = AsyncPopulationEngine(ThreeMajority(), [5, 5], seed=0)
+        engine = self._chain(ThreeMajority(), [5, 5], seed=0)
         engine.run_ticks(5)
         assert engine.round_index == pytest.approx(0.5)
 
     def test_run_until_consensus(self):
-        engine = AsyncPopulationEngine(
-            ThreeMajority(), balanced(200, 4), seed=1
-        )
-        ticks = engine.run_until_consensus(max_ticks=2_000_000)
-        assert ticks is not None
-        assert engine.is_consensus()
-        assert engine.winner() is not None
+        engine = self._chain(ThreeMajority(), balanced(200, 4), seed=1)
+        (result,) = engine.run_until_consensus(2_000_000)
+        assert result.converged
+        assert engine.all_consensus()
+        assert result.winner is not None
+        assert result.metrics["ticks"] == engine.consensus_ticks[0]
 
-    def test_budget_exhaustion_returns_none(self):
-        engine = AsyncPopulationEngine(
-            ThreeMajority(), balanced(1000, 500), seed=1
-        )
-        assert engine.run_until_consensus(max_ticks=3) is None
+    def test_budget_exhaustion_censors(self):
+        engine = self._chain(ThreeMajority(), balanced(1000, 500), seed=1)
+        (result,) = engine.run_until_consensus(3)
+        assert not result.converged
+        assert result.metrics["ticks"] == 3
 
     def test_already_consensus(self):
-        engine = AsyncPopulationEngine(ThreeMajority(), [0, 10], seed=0)
-        assert engine.run_until_consensus(100) == 0
-
-    def test_two_choices_async_uses_generic_path(self):
-        engine = AsyncPopulationEngine(
-            TwoChoices(), balanced(100, 2), seed=2
-        )
-        ticks = engine.run_until_consensus(max_ticks=1_000_000)
-        assert ticks is not None
+        engine = self._chain(ThreeMajority(), [0, 10], seed=0)
+        (result,) = engine.run_until_consensus(100)
+        assert result.converged
+        assert result.metrics["ticks"] == 0
 
     def test_mass_conserved_across_ticks(self):
-        engine = AsyncPopulationEngine(
-            ThreeMajority(), balanced(300, 7), seed=4
-        )
+        engine = self._chain(ThreeMajority(), balanced(300, 7), seed=4)
         engine.run_ticks(500)
         assert engine.counts.sum() == 300
         assert np.all(engine.counts >= 0)
@@ -202,10 +200,10 @@ class TestAsyncPopulationEngine:
                 pop.step()
                 rounds += 1
             sync_rounds.append(rounds)
-            asy = AsyncPopulationEngine(
+            asy = self._chain(
                 ThreeMajority(), two_block(400, 4, 0.5), seed=seed
             )
-            ticks = asy.run_until_consensus(10_000_000)
-            async_rounds.append(ticks / 400)
+            (result,) = asy.run_until_consensus(10_000_000)
+            async_rounds.append(result.metrics["ticks"] / 400)
         ratio = np.median(async_rounds) / max(np.median(sync_rounds), 1)
         assert 0.1 < ratio < 10.0

@@ -17,6 +17,14 @@ and h-Majority, by hand-computed values for Undecided-State; Voter's is
 ``alpha`` itself), and every ``population_step_batch`` — both
 strategies of 2-Choices and of the Median rule included — is checked
 against the oracle here.
+
+The asynchronous chain gets the same treatment from the same laws: one
+tick moves one unit from label i to label j with probability
+``alpha_i * single_vertex_law(alpha, i)[j]``.  That one-tick law checks
+every ``async_population_step_batch``, and the exact tick transition
+matrix over all compositions of a tiny n gives the law of the consensus
+tick and of the winner, which the asynchronous engine's runs must
+match (a two-sided DKW bound on the tick CDF, 6σ on the winners).
 """
 
 from __future__ import annotations
@@ -34,6 +42,7 @@ from repro.core import (
     UndecidedStateDynamics,
     Voter,
 )
+from repro.engine import AsyncBatchPopulationEngine
 from repro.graphs import CompleteGraph
 from repro.state import agents_to_counts, counts_to_agents
 
@@ -86,6 +95,72 @@ def _next_count_distribution(dynamics, counts):
                 new_dist[key] = new_dist.get(key, 0.0) + p_prev * p_group
         dist = new_dist
     return dist
+
+
+def _next_tick_distribution(dynamics, counts):
+    """Exact law of the count vector after one asynchronous tick.
+
+    The updating vertex holds label i with probability ``alpha_i`` and
+    moves to label j with probability
+    ``dynamics.single_vertex_law(alpha, i)[j]``; j = i leaves the
+    configuration unchanged.
+    """
+    counts = tuple(int(c) for c in counts)
+    alpha = np.asarray(counts) / sum(counts)
+    dist = {}
+    for old, share in enumerate(alpha):
+        if share == 0.0:
+            continue
+        law = dynamics.single_vertex_law(alpha, old)
+        for new, p in enumerate(law):
+            if p <= 0.0:
+                continue
+            moved = list(counts)
+            moved[old] -= 1
+            moved[new] += 1
+            key = tuple(moved)
+            dist[key] = dist.get(key, 0.0) + share * p
+    return dist
+
+
+def _consensus_tick_law(dynamics, start, tol=1e-12):
+    """Exact consensus-tick CDF and winner law of the tick chain.
+
+    Builds the tick transition matrix over every composition of
+    ``n = sum(start)`` and pushes the start's mass through it, removing
+    mass as it reaches a consensus state (by the dynamics' own
+    convention).  Returns ``(cdf, winners)``: ``cdf[t]`` is the
+    probability of consensus by tick t, ``winners[j]`` that label j
+    wins.  Mass caught in an absorbing non-consensus state (USD's
+    all-undecided one) is censored: it never reaches the CDF.
+    """
+    n, k = sum(start), len(start)
+    states = list(_compositions(n, k))
+    index = {state: i for i, state in enumerate(states)}
+    matrix = np.zeros((len(states), len(states)))
+    for state in states:
+        for nxt, p in _next_tick_distribution(dynamics, state).items():
+            matrix[index[state], index[nxt]] += p
+    stop = np.asarray(
+        [dynamics.is_consensus_counts(np.asarray(s)) for s in states]
+    )
+    live = ~stop & (np.diag(matrix) < 1.0 - tol)
+    mass = np.zeros(len(states))
+    mass[index[tuple(start)]] = 1.0
+    absorbed = np.zeros(len(states))
+    cdf = []
+    while True:
+        absorbed += np.where(stop, mass, 0.0)
+        mass = np.where(stop, 0.0, mass)
+        cdf.append(absorbed.sum())
+        if mass[live].sum() < tol:
+            break
+        mass = mass @ matrix
+    winners = np.zeros(k)
+    for state, p in zip(states, absorbed):
+        if p > 0.0:
+            winners[int(np.argmax(state))] += p
+    return np.asarray(cdf), winners
 
 
 def _sampled_frequencies(step, reps):
@@ -293,3 +368,80 @@ class TestExactLaws:
             lambda: dynamics.population_step(counts, rng), REPS
         )
         _compare(exact, sampled, REPS, "voter")
+
+
+#: One-tick cases: (dynamics, first row, second row), rows of different
+#: mass.  4-Majority exercises ties among the sampled neighbours.
+TICK_LAW_CASES = {
+    "3-majority": (ThreeMajority(), [3, 2, 0], [2, 1, 1]),
+    "2-choices": (TwoChoices(), [3, 2, 0], [2, 1, 1]),
+    "voter": (Voter(), [3, 2, 0], [2, 1, 1]),
+    "median": (MedianRule(), [2, 1, 2], [1, 2, 1]),
+    "undecided": (UndecidedStateDynamics(), [3, 1, 2], [1, 3, 1]),
+    "5-majority": (HMajority(5), [2, 2, 1], [1, 3, 0]),
+    "4-majority": (HMajority(4), [2, 2, 1], [1, 2, 1]),
+}
+
+#: Consensus-tick cases at n = 4: (dynamics, start).  The Undecided-State
+#: start holds two decided opinions and one undecided vertex (last).
+#: n stays at 4 on purpose: a stop recorded one tick late shifts the
+#: tick CDF by more than the DKW bound here, and by less at n = 6.
+CONSENSUS_TICK_CASES = {
+    "3-majority": (ThreeMajority(), [2, 1, 1]),
+    "2-choices": (TwoChoices(), [2, 1, 1]),
+    "voter": (Voter(), [2, 2]),
+    "median": (MedianRule(), [2, 1, 1]),
+    "undecided": (UndecidedStateDynamics(), [2, 1, 1]),
+    "4-majority": (HMajority(4), [2, 1, 1]),
+}
+
+#: Asynchronous rows per consensus-tick case, and the DKW confidence.
+TICK_RUNS = 4_000
+DKW_DELTA = 1e-6
+
+
+class TestAsyncExactLaws:
+    @pytest.mark.parametrize("case", sorted(TICK_LAW_CASES))
+    def test_one_tick_matches_exact_law(self, case, rng):
+        dynamics, first, second = TICK_LAW_CASES[case]
+        matrix = np.tile(
+            np.asarray([first, second], dtype=np.int64), (REPS, 1)
+        )
+        new = dynamics.async_population_step_batch(matrix, rng)
+        for counts, rows in zip((first, second), (new[0::2], new[1::2])):
+            _compare(
+                _next_tick_distribution(dynamics, counts),
+                _row_frequencies(rows),
+                REPS,
+                f"{case} tick {counts}",
+            )
+
+    @pytest.mark.parametrize("case", sorted(CONSENSUS_TICK_CASES))
+    def test_consensus_tick_law_matches_exact_chain(self, case):
+        dynamics, start = CONSENSUS_TICK_CASES[case]
+        cdf, winners = _consensus_tick_law(dynamics, start)
+        engine = AsyncBatchPopulationEngine(
+            dynamics, np.asarray(start), num_replicas=TICK_RUNS, seed=7
+        )
+        results = engine.run_until_consensus(100 * len(cdf))
+        ticks = np.asarray(
+            [r.metrics["ticks"] for r in results if r.converged],
+            dtype=np.int64,
+        )
+        horizon = max(len(cdf), int(ticks.max(initial=0)) + 1)
+        exact = np.concatenate([cdf, np.full(horizon - len(cdf), cdf[-1])])
+        sampled = np.bincount(ticks, minlength=horizon).cumsum() / TICK_RUNS
+        gap = np.abs(sampled - exact).max()
+        bound = math.sqrt(math.log(2 / DKW_DELTA) / (2 * TICK_RUNS))
+        assert gap < bound, (
+            f"{case}: consensus-tick CDF off the exact chain by {gap:.4f} "
+            f"(DKW bound {bound:.4f})"
+        )
+        won = np.bincount(
+            [r.winner for r in results if r.winner is not None],
+            minlength=len(start),
+        ) / TICK_RUNS
+        sigma = np.sqrt(winners * (1 - winners) / TICK_RUNS)
+        assert (np.abs(won - winners) < 6 * sigma + 1e-4).all(), (
+            f"{case}: winner frequencies {won} vs exact {winners}"
+        )

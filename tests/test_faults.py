@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import json
 import os
+import queue
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -636,6 +638,78 @@ class TestTornCacheWrite:
         run_sweep(
             _tiny_sweep_spec(), cache_dir=cache, on_corrupt="remeasure"
         )
+        report = verify_chain(cache)
+        assert report.ok, report.render()
+
+
+class _ParkAtCacheWrite(FaultPlan):
+    """Holds every ``sweep.cache-write`` occurrence until released.
+
+    Each writer reports ``(thread id, gate)`` on ``arrived`` and waits
+    on its own gate, so a test decides the order in which parked
+    writers go on to publish.
+    """
+
+    def __init__(self) -> None:
+        super().__init__(())
+        self.arrived: queue.Queue = queue.Queue()
+
+    def fire(self, name, context) -> None:
+        if name != "sweep.cache-write":
+            return
+        gate = threading.Event()
+        self.arrived.put((threading.get_ident(), gate))
+        gate.wait(timeout=60)
+
+
+class TestConcurrentCacheWriters:
+    def test_two_threads_parked_on_one_point_both_publish(self, tmp_path):
+        """Two threads of one process write the same point at once.
+
+        Both park between their temp-file write and the rename, then
+        publish one after the other.  Were the temp file shared, the
+        first rename would publish it and the second would find it gone
+        (``FileNotFoundError``); each writer must publish its own
+        complete file, and the chain must verify.
+        """
+        from repro.provenance import verify_chain
+
+        cache = tmp_path / "cache"
+        plan = _ParkAtCacheWrite()
+        errors: list[Exception] = []
+
+        def writer() -> None:
+            try:
+                run_sweep(_tiny_sweep_spec(), cache_dir=cache)
+            except Exception as exc:  # reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer) for _ in range(2)]
+        parked = []
+        with use_fault_plan(plan):
+            try:
+                for thread in threads:
+                    thread.start()
+                parked = [plan.arrived.get(timeout=60) for _ in threads]
+                by_ident = {thread.ident: thread for thread in threads}
+                for ident, gate in parked:
+                    gate.set()
+                    by_ident[ident].join(timeout=60)
+            finally:
+                for _, gate in parked:
+                    gate.set()
+                for thread in threads:
+                    thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        (published,) = cache.glob("*.json")
+        (clean,) = run_sweep(
+            _tiny_sweep_spec(), cache_dir=tmp_path / "reference"
+        )
+        assert tuple(json.loads(published.read_text())["values"]) == (
+            clean.values
+        )
+        assert list(cache.glob(".*.tmp")) == []
         report = verify_chain(cache)
         assert report.ok, report.render()
 

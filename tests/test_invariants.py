@@ -83,7 +83,7 @@ def test_every_engine_dynamics_pair_passes_all_invariants(
     )
     assert len(trace.snapshots) >= 1
     assert trace.corruptions == []
-    if engine in ("population", "agent", "async"):
+    if engine in ("population", "agent"):
         assert trace.num_replicas == 1
     else:
         assert trace.num_replicas == 3

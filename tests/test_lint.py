@@ -194,9 +194,9 @@ def test_no_row_loop_flags_loop_and_missing_override(tmp_path):
     messages = [d.render() for d in diagnostics]
     assert (
         "core/dyn.py:4: no-row-loop Looped does not override "
-        "async_population_step_batch; without it the base class "
-        "row-loop fallback runs and the batch engines lose their "
-        "speedup"
+        "async_population_step_batch; without it the batch engines get "
+        "the base class version, which is abstract, raises or loops "
+        "over rows"
     ) in messages
     assert (
         "core/dyn.py:7: no-row-loop Python for loop in "

@@ -1,6 +1,6 @@
 """Property tests: every closed-form single-vertex law is a distribution.
 
-The asynchronous engine and the theory cross-checks rely on
+The exact-law oracles and the theory cross-checks rely on
 ``Dynamics.single_vertex_law``; these tests sweep random configurations
 with hypothesis and assert the basic probabilistic contracts, plus the
 consistency between each law and its ``expected_alpha_next``.
@@ -89,31 +89,3 @@ class TestUndecidedLawContract:
         assert mixed == pytest.approx(
             dynamics.expected_alpha_next(alpha), abs=1e-9
         )
-
-
-class TestAsyncConsistency:
-    """The generic async step must agree with the law it samples from."""
-
-    @pytest.mark.parametrize(
-        "dynamics",
-        [TwoChoices(), Voter(), MedianRule()],
-        ids=lambda d: d.name,
-    )
-    def test_async_single_tick_marginal(self, dynamics, rng):
-        counts = np.asarray([60, 40], dtype=np.int64)
-        n = 100
-        alpha = counts / n
-        # Expected change of count 0 over one tick:
-        # E[d c0] = sum_m alpha_m (law_m[0] - 1[m == 0]).
-        expected = 0.0
-        for m in range(2):
-            law = dynamics.single_vertex_law(alpha, m)
-            expected += alpha[m] * (law[0] - (1.0 if m == 0 else 0.0))
-        reps = 30_000
-        total = 0
-        for _ in range(reps):
-            work = counts.copy()
-            dynamics.async_population_step(work, rng)
-            total += work[0] - counts[0]
-        measured = total / reps
-        assert measured == pytest.approx(expected, abs=0.01)
