@@ -4,9 +4,11 @@ DESIGN.md's central performance claim is that the count-vector engine
 makes complete-graph experiments n-independent (3-Majority) or O(n)
 with tiny constants (2-Choices), while the agent engine pays O(n) with
 per-vertex sampling overhead.  This ablation times one synchronous
-round of each on the same configuration and asserts the population
-engine's advantage — the factor that makes the `paper`-preset sweeps
-feasible.
+round of a lone chain on each — the population engine
+(``BatchPopulationEngine``) and the graph engine (``BatchAgentEngine``
+on the complete graph), each with one row — on the same configuration
+and asserts the population engine's advantage, the factor that makes
+the `paper`-preset sweeps feasible.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import pytest
 
 from repro.configs import balanced
 from repro.core import ThreeMajority, TwoChoices
-from repro.engine import AgentEngine, PopulationEngine
+from repro.engine import BatchAgentEngine, BatchPopulationEngine
 from repro.graphs import CompleteGraph
 from repro.state import counts_to_agents
 
@@ -27,7 +29,9 @@ K = 200
 
 
 def _population_round(dynamics):
-    engine = PopulationEngine(dynamics, balanced(N, K), seed=0)
+    engine = BatchPopulationEngine(
+        dynamics, balanced(N, K), num_replicas=1, seed=0
+    )
 
     def step():
         engine.step()
@@ -36,10 +40,11 @@ def _population_round(dynamics):
 
 
 def _agent_round(dynamics):
-    engine = AgentEngine(
+    engine = BatchAgentEngine(
         dynamics,
         CompleteGraph(N),
         counts_to_agents(balanced(N, K)),
+        num_replicas=1,
         num_opinions=K,
         seed=0,
     )
@@ -91,7 +96,9 @@ def test_population_round_cost_independent_of_n():
     """3-Majority population rounds cost O(#alive), not O(n)."""
 
     def round_time(n):
-        engine = PopulationEngine(ThreeMajority(), balanced(n, K), seed=0)
+        engine = BatchPopulationEngine(
+            ThreeMajority(), balanced(n, K), num_replicas=1, seed=0
+        )
         start = time.perf_counter()
         for _ in range(50):
             engine.step()

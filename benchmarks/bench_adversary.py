@@ -1,12 +1,12 @@
-"""Benchmark ``adv`` — Adversarial 3-Majority, batched vs sequential.
+"""Benchmark ``adv`` — Adversarial 3-Majority, batched vs a replica loop.
 
 Two benchmarks in one module:
 
 * ``test_adversarial_batch_speedup`` — the engine-layer claim: R
   adversarial replicas advanced as one ``(R, k)`` count matrix (batch
-  engine + vectorised ``corrupt_batch``) must beat R sequential
-  ``PopulationEngine(..., adversary=...)`` chains by at least 3x wall-clock at
-  R = 64, tracked across R ∈ {16, 64, 256}.
+  engine + vectorised ``corrupt_batch``) must beat a loop of R lone
+  adversarial chains (one-row engines on spawned streams) by at least
+  3x wall-clock at R = 64, tracked across R ∈ {16, 64, 256}.
 * ``test_regenerate_adv`` — the tolerance-threshold experiment around
   the [GL18] scale F = sqrt(n)/k^1.5 (now itself running batched; see
   ``repro/experiments/adversary.py`` and DESIGN.md for the
@@ -31,12 +31,8 @@ from repro.adversary import (
 from repro.analysis.tables import format_table
 from repro.configs import balanced
 from repro.core import ThreeMajority
-from repro.engine import (
-    BatchPopulationEngine,
-    PopulationEngine,
-    replicate,
-    run_until_consensus,
-)
+from repro.engine import BatchPopulationEngine
+from repro.seeding import spawn_generators
 
 N = 65_536
 K = 16
@@ -51,22 +47,22 @@ MAX_ROUNDS = 1_000_000
 _target = near_consensus_target(N, BUDGET)
 
 
-def _sequential_seconds(replicas: int) -> tuple[float, float]:
+def _loop_seconds(replicas: int) -> tuple[float, float]:
+    """R lone adversarial chains, one one-row engine per spawned
+    stream."""
     counts = balanced(N, K)
-
-    def one(rng):
-        engine = PopulationEngine(
+    started = time.perf_counter()
+    results = [
+        BatchPopulationEngine(
             ThreeMajority(),
             counts,
+            num_replicas=1,
             seed=rng,
             adversary=SupportRunnerUp(BUDGET),
-        )
-        return run_until_consensus(
-            engine, max_rounds=MAX_ROUNDS, target=_target
-        )
-
-    started = time.perf_counter()
-    results = replicate(one, replicas, seed=0)
+            target=_target,
+        ).run_until_consensus(MAX_ROUNDS)[0]
+        for rng in spawn_generators(0, replicas)
+    ]
     elapsed = time.perf_counter() - started
     return elapsed, float(np.median([r.rounds for r in results]))
 
@@ -91,7 +87,7 @@ def _study() -> dict:
     rows = []
     speedups: dict[int, float] = {}
     for replicas in REPLICA_COUNTS:
-        seq_s, seq_median = _sequential_seconds(replicas)
+        seq_s, seq_median = _loop_seconds(replicas)
         batch_s, batch_median = _batch_seconds(replicas)
         speedup = seq_s / batch_s
         speedups[replicas] = speedup
@@ -115,15 +111,15 @@ def test_adversarial_batch_speedup(benchmark):
         format_table(
             [
                 "R",
-                "sequential ms",
+                "one-row loop ms",
                 "batch ms",
                 "speedup",
-                "seq median T",
+                "loop median T",
                 "batch median T",
             ],
             study["rows"],
             title=(
-                f"Batched vs sequential adversarial replication "
+                f"R-row engine vs a loop of R one-row adversarial engines "
                 f"(n={N:,}, k={K}, SupportRunnerUp F={BUDGET}, "
                 f"stop at leader >= {THRESHOLD})"
             ),
@@ -139,8 +135,8 @@ def test_adversarial_batch_speedup(benchmark):
         config={"R": 64, "n": N, "k": K, "F": BUDGET},
         extra={"speedups": {str(r): round(s, 2) for r, s in speedups.items()}},
     )
-    # Headline acceptance: >= 3x at R = 64 over sequential adversarial
-    # PopulationEngine replication.  The R = 16 / R = 256
+    # Headline acceptance: >= 3x at R = 64 over the loop of one-row
+    # adversarial engines.  The R = 16 / R = 256
     # rows are reported for trend-watching but not asserted on — this
     # job gates CI, and single-shot wall-clock ratios on shared runners
     # are too noisy to fail the build over.

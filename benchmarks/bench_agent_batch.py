@@ -1,27 +1,24 @@
-"""Benchmark ``agent-batch`` — batched graph replication speedups.
+"""Benchmark ``agent-batch`` — batched graph replication wall time.
 
 The batched graph engine exists for one reason: R independent replicas
 of a sparse-substrate workload should cost one vectorised hot loop, not
-R sequential per-vertex loops.  This benchmark pins that claim at the
-headline configuration — R = 64 replicas, n = 10^4 vertices, a fixed
+R per-vertex loops.  This benchmark pins that claim at the headline
+configuration — R = 64 replicas, n = 10^4 vertices, a fixed
 random-regular graph — for the three dynamics with vectorised
 ``agent_step_batch`` overrides, and guards the overrides themselves:
 
-* ``test_agent_batch_speedup`` — wall-clock of
-  :class:`~repro.engine.agent_batch.BatchAgentEngine` against
-  sequential :class:`~repro.engine.agent.AgentEngine` replication
-  (the ``replicate`` workload the ``agent`` registry adapter runs).
+* ``test_agent_batch_speedup`` — wall-clock of one R-row
+  :class:`~repro.engine.agent_batch.BatchAgentEngine` against a loop of
+  R one-row engines on spawned streams (reported, not asserted: a
+  one-row engine runs the same vectorised step, so the ratio is small).
   Voter and 2-Choices are measured over a fixed pre-consensus round
   budget (Voter needs ~Theta(n) rounds to coalesce at this size, far
   past any sane benchmark budget; fixed-budget stepping mirrors
   ``bench_batch_dynamics``'s pre-consensus rationale and keeps both
   sides doing identical work).  3-Majority converges quickly, so it is
-  measured to consensus.  Asserts the headline >=5x for Voter — the
-  per-round fixed costs of the sequential engine amortise over the
-  fewest sampled elements there, making it the sharpest probe of the
-  batched pipeline — and a >=2.5x regression floor for the two
-  multi-sample dynamics (all three measure ~4.5-7x on the reference
-  box; the floors leave headroom for noisy CI hosts).
+  measured to consensus.  Asserts an absolute-seconds bound on the
+  R-row engine per dynamics, with headroom for noisy CI hosts over the
+  0.4-0.7 s they take on a 2-core reference box.
 The override-presence and no-row-loop guards that used to live here
 are now enforced statically by ``repro lint``'s **no-row-loop** rule
 (``src/repro/lint/rules/vectorization.py``), which checks every
@@ -40,13 +37,9 @@ from conftest import write_bench_json
 from repro.analysis.tables import format_table
 from repro.configs import balanced
 from repro.core import ThreeMajority, TwoChoices, Voter
-from repro.engine import (
-    AgentEngine,
-    BatchAgentEngine,
-    replicate,
-    run_until_consensus,
-)
+from repro.engine import BatchAgentEngine
 from repro.graphs import random_regular
+from repro.seeding import spawn_generators
 from repro.state import counts_to_agents
 
 N = 10_000
@@ -55,12 +48,12 @@ REPLICAS = 64
 DEGREE = 15  # +1 self-loop per vertex -> 16-regular sampling
 TO_CONSENSUS = 1_000_000
 
-#: (label, dynamics factory, round budget, asserted speedup floor).
-#: ``None`` budget means run to consensus.
+#: (label, dynamics factory, round budget, asserted bound on the R-row
+#: engine's seconds).  ``None`` budget means run to consensus.
 CASES = (
-    ("voter", Voter, 200, 5.0),
+    ("voter", Voter, 200, 3.0),
     ("2-choices", TwoChoices, 100, 2.5),
-    ("3-majority", ThreeMajority, None, 2.5),
+    ("3-majority", ThreeMajority, None, 2.0),
 )
 
 
@@ -68,18 +61,19 @@ def _graph():
     return random_regular(N, DEGREE, seed=1)
 
 
-def _sequential_seconds(dynamics, graph, counts, budget) -> float:
+def _loop_seconds(dynamics, graph, counts, budget) -> float:
+    """R lone chains, one one-row engine per spawned stream."""
     max_rounds = TO_CONSENSUS if budget is None else budget
-
-    def one(rng):
-        opinions = counts_to_agents(counts, rng=rng, shuffle=True)
-        engine = AgentEngine(
-            dynamics, graph, opinions, num_opinions=K, seed=rng
-        )
-        return run_until_consensus(engine, max_rounds=max_rounds)
-
     started = time.perf_counter()
-    replicate(one, REPLICAS, seed=0)
+    for rng in spawn_generators(0, REPLICAS):
+        BatchAgentEngine(
+            dynamics,
+            graph,
+            counts_to_agents(counts, rng=rng, shuffle=True),
+            num_replicas=1,
+            num_opinions=K,
+            seed=rng,
+        ).run_until_consensus(max_rounds)
     return time.perf_counter() - started
 
 
@@ -102,11 +96,13 @@ def _study() -> dict:
     counts = balanced(N, K)
     rows = []
     speedups: dict[str, float] = {}
-    for label, factory, budget, _floor in CASES:
-        seq_s = _sequential_seconds(factory(), graph, counts, budget)
+    seconds: dict[str, float] = {}
+    for label, factory, budget, _bound in CASES:
+        seq_s = _loop_seconds(factory(), graph, counts, budget)
         batch_s = _batch_seconds(factory(), graph, counts, budget)
         speedup = seq_s / batch_s
         speedups[label] = speedup
+        seconds[label] = batch_s
         rows.append(
             [
                 label,
@@ -116,7 +112,7 @@ def _study() -> dict:
                 round(speedup, 1),
             ]
         )
-    return {"rows": rows, "speedups": speedups}
+    return {"rows": rows, "speedups": speedups, "seconds": seconds}
 
 
 def test_agent_batch_speedup(benchmark):
@@ -124,10 +120,10 @@ def test_agent_batch_speedup(benchmark):
     print()
     print(
         format_table(
-            ["dynamics", "workload", "sequential ms", "batch ms", "speedup"],
+            ["dynamics", "workload", "one-row loop ms", "batch ms", "speedup"],
             study["rows"],
             title=(
-                f"BatchAgentEngine vs sequential AgentEngine replication "
+                f"R-row BatchAgentEngine vs a loop of R one-row engines "
                 f"(R={REPLICAS}, n={N:,}, k={K}, "
                 f"random-regular d={DEGREE}+loops)"
             ),
@@ -140,10 +136,15 @@ def test_agent_batch_speedup(benchmark):
             "speedups": {
                 label: round(value, 2)
                 for label, value in study["speedups"].items()
-            }
+            },
+            "batch_seconds": {
+                label: round(value, 4)
+                for label, value in study["seconds"].items()
+            },
         },
     )
-    for label, _factory, _budget, floor in CASES:
-        assert study["speedups"][label] >= floor, (
-            f"{label}: {study['speedups'][label]:.1f}x < {floor}x"
+    for label, _factory, _budget, bound in CASES:
+        assert study["seconds"][label] <= bound, (
+            f"{label}: R-row engine took {study['seconds'][label]:.2f} s, "
+            f"over its {bound:g} s bound"
         )

@@ -3,16 +3,16 @@
 ``run_sweep`` measures a grid point's ``num_runs`` replicas in one
 vectorised engine run.  This benchmark times all of ``run_sweep`` over
 a small multi-point grid — spec construction, seeding and aggregation,
-not just the engine hot loop — against a per-replica baseline over the
-same grid: one ``execute(SimulationSpec(engine="population",
-replicas=NUM_RUNS))`` per point, i.e. NUM_RUNS sequential population
-runs.  It asserts the end-to-end headline: batched measurement at
-least 3x faster wall-clock.
+not just the engine hot loop — and asserts an absolute-seconds bound
+on it, with headroom for noisy CI hosts over the 0.07 s it takes on a
+2-core reference box.  For reference it also times one
+``execute(SimulationSpec(engine="population", replicas=NUM_RUNS))`` per
+point: ``population`` names the same batch engine, so the ratio of the
+two is the sweep layer's own cost.
 
-Both sides sample the same chain (equal in distribution;
-``tests/test_batch_engine.py`` KS-checks it), so the benchmark also
-sanity-checks that the per-point medians stay within a loose band of
-each other.
+Both sides sample the same chain on different streams, so the benchmark
+also sanity-checks that the per-point medians stay within a loose band
+of each other.
 
 Run with:  pytest benchmarks/bench_sweep_batch.py --benchmark-only
 """
@@ -30,7 +30,8 @@ from repro.sweep import SweepSpec, run_sweep
 
 GRID = {"n": [16_384, 65_536], "k": [16, 64]}
 NUM_RUNS = 32
-SPEEDUP_FLOOR = 3.0
+#: Bound on the best ``run_sweep`` time over the grid, in seconds.
+SECONDS_BOUND = 0.5
 #: Each side is timed as the best of this many runs, the two sides
 #: alternating, so a descheduled run or a drift in host speed on a
 #: shared machine cannot decide the ratio.
@@ -117,12 +118,12 @@ def test_sweep_batch_measurement_speedup(benchmark):
             "baseline": "execute(engine='population') per point",
         },
     )
-    assert study["speedup"] >= SPEEDUP_FLOOR, (
-        f"batched sweep measurement {study['speedup']:.1f}x fell below "
-        f"the {SPEEDUP_FLOOR:g}x end-to-end floor"
+    assert study["batch_s"] <= SECONDS_BOUND, (
+        f"batched sweep measurement took {study['batch_s']:.3f} s, over "
+        f"its {SECONDS_BOUND:g} s end-to-end bound"
     )
     # Same chain, different streams: medians must stay in one loose
-    # band (tests/test_batch_engine.py carries the strict KS check).
+    # band (tests/test_exact_distributions.py checks the law exactly).
     for n, k, population_median, batch_median in study["rows"]:
         assert abs(population_median - batch_median) <= 0.5 * max(
             population_median, batch_median

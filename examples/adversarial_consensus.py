@@ -13,8 +13,7 @@ forever, so "agreement" means the leader holds all but 4F replicas.
 Adversaries are first-class in the unified simulation API: each sweep
 point below is one fluent ``Simulation`` with ``.adversary(...)``, run
 on the batch engine so all RUNS attacked chains advance as a single
-vectorised count matrix instead of RUNS sequential Python round-loops
-over ``PopulationEngine(..., adversary=...)``.
+vectorised count matrix instead of RUNS Python round-loops.
 
 Run:  python examples/adversarial_consensus.py
 """

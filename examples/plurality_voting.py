@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import math
 
-from repro import PopulationEngine, ThreeMajority, run_until_consensus
+from repro import BatchPopulationEngine, ThreeMajority
 from repro.analysis import format_table, success_probability, summarize
 from repro.configs import biased
-from repro.engine import replicate
 from repro.theory.bounds import plurality_margin
 
 N = 50_000
@@ -31,13 +30,14 @@ SEED = 2026
 
 
 def hold_elections(margin: float, seed) -> list:
-    counts = biased(N, K, margin)
-
-    def one_election(rng):
-        engine = PopulationEngine(ThreeMajority(), counts, seed=rng)
-        return run_until_consensus(engine, max_rounds=50_000)
-
-    return replicate(one_election, ELECTIONS_PER_MARGIN, seed=seed)
+    """ELECTIONS_PER_MARGIN elections as rows of one batch engine."""
+    engine = BatchPopulationEngine(
+        ThreeMajority(),
+        biased(N, K, margin),
+        num_replicas=ELECTIONS_PER_MARGIN,
+        seed=seed,
+    )
+    return engine.run_until_consensus(50_000)
 
 
 def main() -> None:

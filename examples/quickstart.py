@@ -3,8 +3,9 @@
 Demonstrates the unified simulation API:
 
 * describe a run declaratively with the fluent ``Simulation`` builder,
-* attach a per-replica trajectory recorder,
-* read the winner/consensus time off the returned ``ResultSet``,
+* build the engine the spec describes and feed a trajectory recorder
+  from its per-round ``record_hook``,
+* read the winner/consensus time off the run's result,
 * compare the measured time against the paper's bound shapes
   (``repro.theory.bounds``).
 
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 from repro import Simulation, ThreeMajority, TwoChoices, TrajectoryRecorder
 from repro.analysis import format_table
+from repro.engine.batch import engine_from_spec, run_to_budget
 from repro.theory.bounds import upper_bound
 
 N = 100_000
@@ -23,22 +25,22 @@ SEED = 7
 
 
 def run_one(dynamics) -> list:
-    results = (
+    spec = (
         Simulation.of(dynamics)
         .n(N)
         .k(K)
         .balanced()
         .max_rounds(200_000)
-        .observe_with(
-            lambda: (
-                TrajectoryRecorder(record_gamma=True, record_alive=True),
-            )
-        )
         .seed(SEED)
-        .run()
+        .build()
     )
-    result = results[0]
-    recorder = result.metrics["observers"][0]
+    recorder = TrajectoryRecorder(record_gamma=True, record_alive=True)
+    engine = engine_from_spec(
+        spec,
+        record_hook=lambda i, counts, _: recorder.observe(i, counts[0]),
+    )
+    recorder.observe(0, engine.counts[0])
+    (result,) = run_to_budget(engine, spec)
     arrays = recorder.as_arrays()
     halfway = len(arrays["gamma"]) // 2
     return [

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import PopulationEngine, run_until_consensus
+from repro import BatchPopulationEngine
 from repro.analysis import format_table
 from repro.configs import balanced
 from repro.core import UndecidedStateDynamics, with_undecided_slot
@@ -37,16 +37,17 @@ SEED = 23
 
 
 def synchronous_rounds(k: int) -> float:
-    times = []
-    for rng in spawn_generators((SEED, 0, k), RUNS):
-        engine = PopulationEngine(
-            UndecidedStateDynamics(),
-            with_undecided_slot(balanced(N, k)),
-            seed=rng,
-        )
-        result = run_until_consensus(engine, max_rounds=500_000)
-        if result.converged:
-            times.append(result.rounds)
+    engine = BatchPopulationEngine(
+        UndecidedStateDynamics(),
+        with_undecided_slot(balanced(N, k)),
+        num_replicas=RUNS,
+        seed=(SEED, 0, k),
+    )
+    times = [
+        result.rounds
+        for result in engine.run_until_consensus(500_000)
+        if result.converged
+    ]
     return float(np.median(times)) if times else float("nan")
 
 

@@ -15,12 +15,15 @@ Quickstart
 >>> results.num_converged
 8
 
-The engine-level API is still available for fine-grained control:
+The engine-level API is still available for fine-grained control; a
+lone chain is an engine with one replica row:
 
->>> from repro import ThreeMajority, PopulationEngine, run_until_consensus
+>>> from repro import BatchPopulationEngine, ThreeMajority
 >>> from repro.configs import balanced
->>> engine = PopulationEngine(ThreeMajority(), balanced(10_000, 50), seed=1)
->>> result = run_until_consensus(engine, max_rounds=10_000)
+>>> engine = BatchPopulationEngine(
+...     ThreeMajority(), balanced(10_000, 50), num_replicas=1, seed=1
+... )
+>>> (result,) = engine.run_until_consensus(10_000)
 >>> result.converged
 True
 
@@ -30,9 +33,9 @@ Package map
                       undecided, voter, median);
 ``repro.backends``    pluggable compute backends (``numpy`` reference,
                       opt-in ``numba`` JIT kernels for the hot paths);
-``repro.engine``      exact population engine, agent engine,
-                      vectorised batch-replica engines (synchronous,
-                      graph and asynchronous), run control;
+``repro.engine``      one vectorised batch-replica engine per chain
+                      (population, graph and asynchronous) and the
+                      engine registry;
 ``repro.simulation``  the unified front door: declarative
                       ``SimulationSpec``, fluent ``Simulation`` builder
                       and ``ResultSet`` aggregates;
@@ -76,19 +79,15 @@ from repro.core import (
     make_dynamics,
 )
 from repro.engine import (
-    AgentEngine,
     AsyncBatchPopulationEngine,
     BatchAgentEngine,
     BatchPopulationEngine,
     EngineInfo,
-    PopulationEngine,
     RunResult,
     TrajectoryRecorder,
     available_engines,
     get_engine,
     register_engine,
-    replicate,
-    run_until_consensus,
 )
 from repro.errors import (
     BackendUnavailableError,
@@ -111,7 +110,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "Adversary",
-    "AgentEngine",
     "ApproximateMajority",
     "AsyncBatchPopulationEngine",
     "BackendUnavailableError",
@@ -127,7 +125,6 @@ __all__ = [
     "HMajority",
     "MedianRule",
     "PairwiseEngine",
-    "PopulationEngine",
     "RandomCorruption",
     "ReproError",
     "ResultSet",
@@ -155,8 +152,6 @@ __all__ = [
     "make_dynamics",
     "register_backend",
     "register_engine",
-    "replicate",
     "run_sweep",
-    "run_until_consensus",
     "use_backend",
 ]

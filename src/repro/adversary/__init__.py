@@ -2,8 +2,6 @@
 
 from repro.adversary.base import (
     Adversary,
-    apply_corruption,
-    enforce_corruption_contract,
     enforce_corruption_contract_batch,
 )
 from repro.adversary.registry import available_adversaries, make_adversary
@@ -24,9 +22,7 @@ __all__ = [
     "RandomCorruption",
     "ReviveWeakest",
     "SupportRunnerUp",
-    "apply_corruption",
     "available_adversaries",
-    "enforce_corruption_contract",
     "enforce_corruption_contract_batch",
     "make_adversary",
     "near_consensus_target",

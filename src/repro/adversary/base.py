@@ -12,12 +12,12 @@ configuration each round — a strong (omniscient, adaptive) adversary in
 the sense of the literature.
 
 Adversaries are a first-class dimension of the unified simulation API:
-every engine (population, agent, async, batch) accepts one and applies
-it after each synchronous round, enforcing the corruption contract via
-:func:`enforce_corruption_contract` — an *explicit* raise, never a bare
-``assert``, so the checks survive ``python -O``.  The batch engine uses
-:meth:`Adversary.corrupt_batch` to corrupt all R replica rows in one
-vectorised call.
+every engine (``batch``, ``agent-batch``, ``async-batch`` and their
+other names) accepts one.  The engines corrupt all R replica rows in
+one :meth:`Adversary.corrupt_batch` call after each dynamics step and
+enforce the corruption contract row-wise via
+:func:`enforce_corruption_contract_batch` — an *explicit* raise, never
+a bare ``assert``, so the checks survive ``python -O``.
 """
 
 from __future__ import annotations
@@ -26,14 +26,11 @@ import abc
 
 import numpy as np
 
-from repro.state import validate_counts
 from repro.errors import ConfigurationError, StateError
 
 __all__ = [
     "Adversary",
-    "apply_corruption",
     "apply_count_delta",
-    "enforce_corruption_contract",
     "enforce_corruption_contract_batch",
 ]
 
@@ -55,9 +52,10 @@ class Adversary(abc.ABC):
         """Return the corrupted configuration (same total mass).
 
         Implementations must change at most :attr:`budget` vertices, i.e.
-        ``sum(|new - old|) / 2 <= budget``; every engine enforces this
-        via :func:`enforce_corruption_contract` (an explicit raise, so
-        the check survives ``python -O``).
+        ``sum(|new - old|) / 2 <= budget``; the engines enforce this on
+        every row of :meth:`corrupt_batch` via
+        :func:`enforce_corruption_contract_batch` (an explicit raise,
+        so the check survives ``python -O``).
         """
 
     def corrupt_batch(
@@ -82,28 +80,6 @@ class Adversary(abc.ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(budget={self.budget})"
-
-
-def enforce_corruption_contract(
-    before: np.ndarray, after: np.ndarray, budget: int
-) -> np.ndarray:
-    """Validate one corruption: mass conserved, at most ``budget`` moves.
-
-    Returns the canonicalised corrupted vector.  Raises
-    :class:`~repro.errors.StateError` on mass/negativity violations and
-    :class:`~repro.errors.ConfigurationError` on budget violations —
-    explicit exceptions rather than ``assert``, so a buggy adversary
-    fails fast even under ``python -O``.
-    """
-    before = np.asarray(before)
-    after = validate_counts(after, n=int(before.sum()))
-    moved = int(np.abs(after - before).sum()) // 2
-    if moved > budget:
-        raise ConfigurationError(
-            f"adversary moved {moved} vertices, exceeding its "
-            f"budget of {budget}"
-        )
-    return after
 
 
 def enforce_corruption_contract_batch(
@@ -158,10 +134,8 @@ def apply_count_delta(
     random holders of each losing opinion are moved to the gaining
     opinions, with the victim→gainer pairing shuffled so it carries no
     positional bias when several opinions lose and several gain at
-    once.  Shared by the sequential :class:`~repro.engine.agent.
-    AgentEngine` and the batched :class:`~repro.engine.agent_batch.
-    BatchAgentEngine`, so the two engines can never drift apart on how
-    a corruption lands on vertices.  Mutates ``opinions`` in place.
+    once.  :class:`~repro.engine.agent_batch.BatchAgentEngine` lifts
+    each corrupted row through it.  Mutates ``opinions`` in place.
     """
     losers = np.flatnonzero(delta < 0)
     if losers.size == 0:
@@ -180,20 +154,3 @@ def apply_count_delta(
     new_labels = np.repeat(gainers, delta[gainers])
     rng.shuffle(victims)
     opinions[victims] = new_labels.astype(opinions.dtype)
-
-
-def apply_corruption(
-    counts: np.ndarray,
-    adversary: Adversary,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """One checked corruption: corrupt ``counts`` and enforce the contract.
-
-    The adversary receives its own copy of the configuration: a strategy
-    that mutates its input in place could otherwise never fail the
-    contract (before and after would be the same array), and the
-    engine's own state stays isolated from the adversary.
-    """
-    before = np.asarray(counts)
-    corrupted = adversary.corrupt(before.copy(), rng)
-    return enforce_corruption_contract(before, corrupted, adversary.budget)

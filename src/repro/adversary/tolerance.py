@@ -74,7 +74,7 @@ def near_consensus_target(n: int, budget: int) -> LeaderThresholdTarget:
     """Stopping predicate for :func:`near_consensus_threshold`.
 
     Usable as a ``SimulationSpec.target`` / ``Simulation.stop_when``
-    argument or with :func:`~repro.engine.runner.run_until_consensus`;
-    batch engines evaluate it vectorised.
+    argument or as a batch engine's ``target``, which evaluates it
+    vectorised.
     """
     return LeaderThresholdTarget(near_consensus_threshold(n, budget))

@@ -19,8 +19,9 @@ Subcommands
     ``--replicas`` (or ``--engine batch``) it prints the aggregate
     consensus-time quantiles, censoring and winner histogram instead.
     ``--graph FAMILY [--degree D | --edge-probability P]`` runs on a
-    sparse substrate: the graph-capable engines take over (``agent``,
-    or the vectorised ``agent-batch`` when replicated).
+    sparse substrate: the graph engine takes over (named ``agent``
+    for one run and ``agent-batch`` when replicated; the two names run
+    the same engine).
     ``--adversary NAME --adversary-budget F`` attacks every run with an
     F-bounded adversary ([GL18] model); with ``F >= 1`` the stopping
     rule becomes the near-consensus threshold (leader holds all but 4F
@@ -693,7 +694,6 @@ def main(argv: list[str] | None = None) -> int:
                 for label, flag in (
                     ("graph", info.supports_graph),
                     ("target", info.supports_target),
-                    ("observers", info.supports_observers),
                     ("adversary", info.supports_adversary),
                 )
                 if flag
@@ -856,6 +856,7 @@ def _report(args) -> int:
 
 def _simulate(args) -> int:
     from repro.engine import TrajectoryRecorder
+    from repro.engine.batch import engine_from_spec, run_to_budget
     from repro.simulation import Simulation
 
     engine = args.engine
@@ -924,22 +925,30 @@ def _simulate(args) -> int:
                 "consensus — a stalling adversary can block it for the "
                 "whole round budget"
             )
-    if trajectory:
-        builder.observe_with(
-            lambda: (TrajectoryRecorder(record_max_alpha=True),)
-        )
     try:
         spec = builder.build()
     except (BackendUnavailableError, ConfigurationError) as exc:
         print(f"error: {exc}")
         return 2
     started = time.perf_counter()
-    results = spec.run()
+    if trajectory:
+        # The one-row population engine the spec describes, with the
+        # recorder fed from its per-round hook: the same run as
+        # ``--engine batch`` at this seed.
+        recorder = TrajectoryRecorder(record_max_alpha=True)
+        chain = engine_from_spec(
+            spec,
+            record_hook=lambda i, counts, _: recorder.observe(
+                i, counts[0]
+            ),
+        )
+        recorder.observe(0, chain.counts[0])
+        (result,) = run_to_budget(chain, spec)
+    else:
+        results = spec.run()
     wall = time.perf_counter() - started
 
     if trajectory:
-        result = results[0]
-        recorder = result.metrics["observers"][0]
         arrays = recorder.as_arrays()
         checkpoints = sorted(
             {0, len(arrays["round"]) - 1}

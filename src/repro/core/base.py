@@ -15,8 +15,7 @@ three views of the same Markov chain:
     independent of ``n``.  This is what makes ``n = 10^7`` experiments
     laptop-feasible.  It is the only implementation of the synchronous
     count chain: :meth:`Dynamics.population_step`, the single-vector
-    step the sequential engine calls, is derived from it as the batch
-    step on a one-row matrix.
+    step, is derived from it as the batch step on a one-row matrix.
 
 ``agent_step``
     The per-vertex transition on an arbitrary
@@ -431,8 +430,8 @@ class Dynamics(abc.ABC):
         """Per-row consensus indicator over an ``(R, k)`` count matrix.
 
         Row-wise counterpart of :meth:`is_consensus_counts`; override
-        the two together so the batch engine and the sequential engines
-        stop under the same convention.
+        the two together so the engines and single-vector callers stop
+        under the same convention.
         """
         counts = np.asarray(counts)
         return counts.max(axis=1) == counts.sum(axis=1)
@@ -447,8 +446,9 @@ class Dynamics(abc.ABC):
         this.  Dynamics whose semantics depend on the label layout
         override it — Undecided-State derives its undecided label
         (``num_opinions - 1``) here, so a fully decided agent start is
-        interpreted correctly.  :class:`~repro.engine.agent.AgentEngine`
-        calls this at construction with its ``num_opinions``.
+        interpreted correctly.
+        :class:`~repro.engine.agent_batch.BatchAgentEngine` calls this
+        at construction when given ``num_opinions``.
         """
 
     @abc.abstractmethod

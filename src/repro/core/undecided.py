@@ -61,8 +61,9 @@ class UndecidedStateDynamics(Dynamics):
     to *know* ``k`` — inferring it from the labels present would mistake
     the top decided label for the undecided state on any fully decided
     start — so either construct with ``num_decided=k`` or run through
-    :class:`~repro.engine.agent.AgentEngine` with ``num_opinions =
-    k + 1``, which binds it via :meth:`bind_opinion_space`.
+    :class:`~repro.engine.agent_batch.BatchAgentEngine` with
+    ``num_opinions = k + 1``, which binds it via
+    :meth:`bind_opinion_space`.
     """
 
     name = "undecided"
@@ -162,8 +163,8 @@ class UndecidedStateDynamics(Dynamics):
             "from an agent vector alone (from a fully decided start the "
             "top decided label would be mistaken for it): construct it "
             "with num_decided=k, or run it through an engine that binds "
-            "the opinion-space size (AgentEngine passes num_opinions "
-            "through bind_opinion_space)"
+            "the opinion-space size (BatchAgentEngine passes "
+            "num_opinions through bind_opinion_space)"
         )
 
     def agent_step(

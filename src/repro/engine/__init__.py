@@ -1,42 +1,36 @@
-"""Simulation engines and run control.
+"""Simulation engines: one per Markov chain.
 
-* :class:`PopulationEngine` — exact count-vector chain on the complete
-  graph with self-loops (the paper's setting);
-* :class:`AgentEngine` — per-vertex chain on arbitrary graphs;
+* :class:`BatchPopulationEngine` — the exact count-vector chain on the
+  complete graph with self-loops (the paper's setting): R replicas as
+  one vectorised ``(R, k)`` count matrix, registered as ``batch`` and
+  ``population``; one row is a lone chain.  It is also the replica run
+  loop the other two engines subclass;
+* :class:`BatchAgentEngine` — the per-vertex chain on an arbitrary
+  graph: R replicas as one vectorised ``(R, n)`` opinion matrix,
+  registered as ``agent-batch`` and ``agent``;
 * :class:`AsyncBatchPopulationEngine` — the one-vertex-per-tick chain
   ([CMRSS25] model): R chains advanced tick-by-tick in lockstep as one
-  vectorised ``(R, k)`` count matrix, registered as ``async-batch`` and
-  ``async``;
-* :class:`BatchPopulationEngine` — R replicas as one vectorised
-  ``(R, k)`` count matrix, and the replica run loop the other two
-  batch engines subclass;
-* :class:`BatchAgentEngine` — R replicas of a graph chain as one
-  vectorised ``(R, n)`` opinion matrix;
-* :func:`run_until_consensus` / :func:`replicate` — run control;
+  ``(R, k)`` count matrix, registered as ``async-batch`` and ``async``;
+* :class:`RunResult` — the per-replica outcome every engine returns,
+  and :class:`TrajectoryRecorder`, which records one replica's
+  trajectory from an engine's ``record_hook``;
 * :mod:`repro.engine.registry` — string-keyed engine registry; every
   engine above registers a spec runner plus capability flags, and the
   simulation layer and CLI dispatch through it.
 """
 
-from repro.engine.agent import AgentEngine
 from repro.engine.agent_batch import BatchAgentEngine
 from repro.engine.async_batch import AsyncBatchPopulationEngine
 from repro.engine.batch import BatchPopulationEngine
-from repro.engine.callbacks import (
-    FunctionObserver,
-    Observer,
-    TrajectoryRecorder,
-)
-from repro.engine.population import PopulationEngine
+from repro.engine.callbacks import TrajectoryRecorder
 from repro.engine.registry import (
-    Engine,
     EngineInfo,
     available_engines,
     get_engine,
     register_engine,
     unregister_engine,
 )
-from repro.engine.runner import RunResult, replicate, run_until_consensus
+from repro.engine.runner import RunResult
 from repro.seeding import (
     RandomState,
     as_generator,
@@ -58,15 +52,10 @@ from repro.state import (
 )
 
 __all__ = [
-    "AgentEngine",
     "AsyncBatchPopulationEngine",
     "BatchAgentEngine",
     "BatchPopulationEngine",
-    "Engine",
     "EngineInfo",
-    "FunctionObserver",
-    "Observer",
-    "PopulationEngine",
     "RandomState",
     "RunResult",
     "TrajectoryRecorder",
@@ -84,8 +73,6 @@ __all__ = [
     "gamma_from_counts",
     "is_consensus",
     "num_alive",
-    "replicate",
-    "run_until_consensus",
     "spawn_generators",
     "support",
     "validate_agents",

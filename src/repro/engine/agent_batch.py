@@ -1,19 +1,22 @@
 """Vectorised batch-replica engine for graph substrates.
 
-:class:`~repro.engine.batch.BatchPopulationEngine` made every
-complete-graph workload fast, but the dynamics on *general* graphs —
-the whole reason :mod:`repro.graphs` exists — still ran one replica at a
-time through :class:`~repro.engine.agent.AgentEngine`.  This engine is
-the missing quadrant: it advances R replicas of per-vertex opinions on a
-shared :class:`~repro.graphs.base.Graph` as one ``(R, n)`` integer
-matrix, stepping every *unfinished* replica with a single call to the
-dynamics' ``agent_step_batch``.  The pull-based paper dynamics
-(3-Majority, 2-Choices, Voter) are fully vectorised there — one batched
-neighbour-sampling pass (:meth:`~repro.graphs.base.Graph.
-sample_neighbors_batch`) plus one fused opinion gather per sample plane
-— while any other dynamics falls back to a per-row loop (correct, no
-speedup).  ``benchmarks/bench_agent_batch.py`` guards the overrides and
-tracks the speedups over sequential agent-level replication.
+The per-vertex chain on an arbitrary :class:`~repro.graphs.base.Graph`:
+this engine advances R replicas of per-vertex opinions on one shared
+graph as an ``(R, n)`` integer matrix, stepping every *unfinished*
+replica with a single call to the dynamics' ``agent_step_batch``.  The
+pull-based paper dynamics (3-Majority, 2-Choices, Voter) are fully
+vectorised there — one batched neighbour-sampling pass
+(:meth:`~repro.graphs.base.Graph.sample_neighbors_batch`) plus one
+fused opinion gather per sample plane — while any other dynamics falls
+back to a per-row loop (correct, no speedup).
+``benchmarks/bench_agent_batch.py`` guards the overrides' wall time.
+
+It is the only engine of the graph chain: ``agent-batch`` and ``agent``
+are two registry names of one adapter, and a lone chain is the engine
+with ``num_replicas=1``.  All rows share one generator, so replica
+``i``'s realisation depends on R.  The tests check the one-step law on
+small graphs, and the consensus-round law on the complete graph,
+against exact oracles (``tests/test_exact_distributions.py``).
 
 The replica bookkeeping — frozen rows, the adversary contract,
 ``target``, ``record_hook``, results and the ``on_budget`` tail — is the
@@ -29,15 +32,9 @@ which this engine subclasses.  What the graph chain changes:
   followed by the dynamics' exact ``consensus_mask_agents`` on the few
   candidate rows.
 * **Corruption** — adversaries act on count vectors ([GL18] population
-  model); each row's corruption is lifted back onto vertices exactly
-  like the sequential :class:`~repro.engine.agent.AgentEngine`:
+  model); each row's corruption is lifted back onto vertices:
   uniformly random holders of each losing opinion are reassigned to the
   gaining opinions (:func:`apply_count_delta`).
-
-Each row is the same Markov chain a single :class:`AgentEngine` runs on
-the same graph (KS-equivalence-tested); all rows share one generator, so
-a batch run is equal to R seeded sequential runs in distribution, not in
-realisation.
 """
 
 from __future__ import annotations
@@ -172,9 +169,9 @@ class BatchAgentEngine(BatchPopulationEngine):
                 f"with {self.graph.num_vertices} vertices"
             )
         self.num_vertices = int(matrix.shape[1])
-        # Same contract as AgentEngine: only a caller-stated opinion
-        # space is bound (a label-maximum fallback would mislead e.g.
-        # Undecided-State on fully decided starts).
+        # Only a caller-stated opinion space is bound (a label-maximum
+        # fallback would mislead e.g. Undecided-State on fully decided
+        # starts).
         if declared is None:
             self.num_opinions = int(matrix.max()) + 1
         else:
@@ -194,8 +191,7 @@ class BatchAgentEngine(BatchPopulationEngine):
         otherwise silently file an out-of-range label under the *next*
         row's bins.  A dynamics minting labels beyond the engine's
         opinion space (e.g. Undecided-State run with an inferred
-        ``num_opinions``) fails loudly here, like the sequential
-        engine's per-round validation does.
+        ``num_opinions``) fails loudly here.
         """
         rows = opinions.shape[0]
         k = self.num_opinions
@@ -226,24 +222,12 @@ class BatchAgentEngine(BatchPopulationEngine):
     # The graph chain's hooks into the shared run loop
     # ------------------------------------------------------------------
     def _advance(self, active: np.ndarray) -> np.ndarray:
-        """One ``agent_step_batch`` of the active rows (no row copy when
-        every row is active)."""
-        view = (
-            self._matrix
-            if active.size == self.num_replicas
-            else self._matrix[active]
+        """One ``agent_step_batch`` of the active rows.  The base
+        ``_store`` keeps the engine's narrow label dtype even when a
+        row-loop fallback dynamics returns widened rows."""
+        return self.dynamics.agent_step_batch(
+            self._active_rows(active), self.graph, self.rng
         )
-        return self.dynamics.agent_step_batch(view, self.graph, self.rng)
-
-    def _store(self, active: np.ndarray, new_rows: np.ndarray) -> None:
-        if active.size == self.num_replicas:
-            # Keep the engine's narrow label dtype even when a row-loop
-            # fallback dynamics returns widened rows.
-            self._matrix = np.ascontiguousarray(
-                new_rows, dtype=self._matrix.dtype
-            )
-        else:
-            self._matrix[active] = new_rows
 
     def _stopped(self, opinions: np.ndarray) -> np.ndarray:
         """Per-row stopping mask on an opinion matrix.
@@ -283,8 +267,8 @@ def _run_spec(spec) -> list[RunResult]:
     """Registry adapter: all R graph replicas in one vectorised engine.
 
     Vertex identities are shuffled independently per replica row
-    (``rng.permuted``), mirroring the sequential agent adapter — on
-    non-complete graphs *which* vertices hold which opinion matters.
+    (``rng.permuted``) — on non-complete graphs *which* vertices hold
+    which opinion matters.
     """
     dynamics = spec.resolved_dynamics()
     counts = spec.initial_counts()
@@ -306,14 +290,25 @@ def _run_spec(spec) -> list[RunResult]:
     return run_to_budget(engine, spec)
 
 
+_CAPABILITIES = dict(
+    supports_graph=True, supports_target=True, supports_adversary=True
+)
+
 register_engine(
     "agent-batch",
     _run_spec,
     description=(
         "R replicas of a graph chain as one (R, n) opinion matrix"
     ),
-    supports_graph=True,
-    supports_target=True,
-    supports_observers=False,
-    supports_adversary=True,
+    **_CAPABILITIES,
+)
+# The graph chain's own name runs the same engine.
+register_engine(
+    "agent",
+    _run_spec,
+    description=(
+        "per-vertex chain on an arbitrary graph substrate; another "
+        "name for agent-batch"
+    ),
+    **_CAPABILITIES,
 )

@@ -193,11 +193,7 @@ def _run_spec(spec) -> list[RunResult]:
     return run_to_budget(engine, spec)
 
 
-_CAPABILITIES = dict(
-    supports_target=False,
-    supports_observers=False,
-    supports_adversary=True,
-)
+_CAPABILITIES = dict(supports_target=False, supports_adversary=True)
 
 register_engine(
     "async-batch",

@@ -1,23 +1,28 @@
 """Vectorised batch-replica engines: R chains in lockstep, one run loop.
 
-:func:`~repro.engine.runner.replicate` advances R independent runs as a
-Python loop over single :class:`~repro.engine.population.PopulationEngine`
-instances — R round-loops, each paying the per-call numpy overhead on tiny
-arrays.  :class:`BatchPopulationEngine` instead holds all R replicas as one
-``(R, k)`` int64 count matrix and advances every *unfinished* replica with
-a single call to the dynamics' ``population_step_batch``.  Every dynamics
-in the catalogue is fully vectorised there: one batched multinomial for
-3-Majority and Voter, a binomial + multinomial pair for Undecided-State
-and for 2-Choices when many vertices switch (2-Choices draws only the
-switching vertices when few do), a batched group-law multinomial for the
-Median rule, and one batched multinomial over the exact majority-of-h
-law for h-Majority (``benchmarks/bench_batch_dynamics.py`` guards the
-overrides and tracks the speedups).
+On the complete graph with self-loops the vertices are exchangeable
+and, given the previous round, update independently, so the count
+vector is a sufficient statistic and the dynamics'
+``population_step_batch`` samples the next configuration *exactly*
+(paper eqs. (5), (6)).  :class:`BatchPopulationEngine` holds R replicas
+of that chain as one ``(R, k)`` int64 count matrix and advances every
+*unfinished* replica with a single call to the dynamics'
+``population_step_batch``.  Every dynamics in the catalogue is fully
+vectorised there: one batched multinomial for 3-Majority and Voter, a
+binomial + multinomial pair for Undecided-State and for 2-Choices when
+many vertices switch (2-Choices draws only the switching vertices when
+few do), a batched group-law multinomial for the Median rule, and one
+batched multinomial over the exact majority-of-h law for h-Majority
+(``benchmarks/bench_batch_dynamics.py`` guards the overrides and tracks
+the speedups).
 
-Each row is the same Markov chain a single :class:`PopulationEngine` runs
-(the tests check distributional agreement via KS tests), but all rows
-share one generator, so a batch run is *not* bitwise-identical to R
-seeded sequential runs — equal in distribution, not in realisation.
+It is the only engine of the population chain: ``batch`` and
+``population`` are two registry names of one adapter, so seeded specs
+return the same results under either name.  All rows share one
+generator, so replica ``i``'s realisation depends on R; a lone chain is
+the engine with ``num_replicas=1``.  The tests check each one-step law,
+and the consensus-round law of small systems, against exact oracles
+(``tests/test_exact_distributions.py``).
 
 The shared replica run loop
 ---------------------------
@@ -29,21 +34,21 @@ AsyncBatchPopulationEngine`).  It builds the start matrix
 Each :meth:`~BatchPopulationEngine.step` advances only the *active*
 rows, lets an optional F-bounded adversary corrupt them through
 ``corrupt_batch`` with the [GL18] contract enforced row-wise (after the
-dynamics, before the stopping check — the sequential adversarial
-chain's interleaving), freezes the rows that stop and calls the
-optional ``record_hook``.  A row stops at consensus under the dynamics'
+dynamics, before the stopping check), freezes the rows that stop and
+calls the optional ``record_hook``, the engines' one per-round
+observation channel.  A row stops at consensus under the dynamics'
 own convention (for Undecided-State only a *decided* opinion holding
 everything; the all-undecided row is censored, never a winner) or when
 a caller ``target`` holds on its count vector.  Frozen rows are
 excluded from sampling and corruption and never change again.
-:func:`run_to_budget` is the registry adapters' shared ``on_budget``
-tail.
+:func:`engine_from_spec` builds the population engine a spec describes,
+and :func:`run_to_budget` is the registry adapters' shared
+``on_budget`` tail.
 
 The subclasses override only what their chain changes: the start
-(``_start_matrix``), the batched dynamics step (``_advance``), how
-stepped rows are stored (``_store``), the stopping mask (``_stopped``),
-the corruption (``_corrupt``) and the time units of results and budgets
-(``_timing``, ``_budget``).
+(``_start_matrix``), the batched dynamics step (``_advance``), the
+stopping mask (``_stopped``), the corruption (``_corrupt``) and the
+time units of results and budgets (``_timing``, ``_budget``).
 """
 
 from __future__ import annotations
@@ -64,7 +69,12 @@ from repro.errors import ConfigurationError, ConsensusNotReached
 from repro.seeding import RandomState, as_generator
 from repro.state import validate_counts
 
-__all__ = ["BatchPopulationEngine", "build_replica_matrix", "run_to_budget"]
+__all__ = [
+    "BatchPopulationEngine",
+    "build_replica_matrix",
+    "engine_from_spec",
+    "run_to_budget",
+]
 
 
 def build_replica_matrix(
@@ -156,11 +166,11 @@ class BatchPopulationEngine:
         Optional observation callback ``hook(index, counts, frozen)``
         invoked after every :meth:`step` with the step index, the
         engine's ``(R, k)`` count view and its ``(R,)`` frozen mask
-        (live arrays — copy if you keep them).  The batch-engine
-        counterpart of the sequential engines'
-        :class:`~repro.engine.callbacks.Observer` protocol, used by
-        :mod:`repro.invariants` to record traces; costs nothing when
-        ``None``.
+        (live arrays — copy if you keep them).  The engines' one
+        per-round observation channel: :mod:`repro.invariants` records
+        traces through it, and a
+        :class:`~repro.engine.callbacks.TrajectoryRecorder` is fed from
+        it; costs nothing when ``None``.
 
     Attributes
     ----------
@@ -229,8 +239,8 @@ class BatchPopulationEngine:
 
         Frozen rows are excluded from sampling (and from corruption)
         and keep their state; rows that hit the stopping rule this step
-        — checked *after* the adversary's corruption, matching the
-        sequential adversarial chain — record it and freeze.
+        — checked *after* the adversary's corruption — record it and
+        freeze.
         """
         active = np.flatnonzero(~self.frozen)
         self._index += 1
@@ -297,15 +307,34 @@ class BatchPopulationEngine:
     # ------------------------------------------------------------------
     # Per-chain hooks (the population chain's versions)
     # ------------------------------------------------------------------
+    def _active_rows(self, active: np.ndarray) -> np.ndarray:
+        """The ``active`` rows of the state matrix: the matrix itself
+        when every row is active, else a copy of those rows."""
+        if active.size == self.num_replicas:
+            return self._matrix
+        return self._matrix[active]
+
     def _advance(self, active: np.ndarray) -> np.ndarray:
         """One batched dynamics step of the ``active`` rows."""
         return self.dynamics.population_step_batch(
-            self._matrix[active], self.rng
+            self._active_rows(active), self.rng
         )
 
     def _store(self, active: np.ndarray, new_rows: np.ndarray) -> None:
-        """Write the stepped rows back into the state matrix."""
-        self._matrix[active] = new_rows
+        """Write the stepped rows back into the state matrix.
+
+        When every row stepped, the new rows become the matrix (in its
+        dtype), as ``_active_rows`` handed the step the matrix itself:
+        copying the rows out and back each step cost an allocation and,
+        at k in the tens of thousands, page faults that tripled the
+        cost of a lone 2-Choices round.
+        """
+        if active.size == self.num_replicas:
+            self._matrix = np.ascontiguousarray(
+                new_rows, dtype=self._matrix.dtype
+            )
+        else:
+            self._matrix[active] = new_rows
 
     def _stopped(self, rows: np.ndarray) -> np.ndarray:
         """Per-row stopping mask of count rows.
@@ -421,9 +450,20 @@ def run_to_budget(
     return results
 
 
-def _run_spec(spec) -> list[RunResult]:
-    """Registry adapter: all R replicas in one vectorised engine."""
-    engine = BatchPopulationEngine(
+def engine_from_spec(
+    spec,
+    record_hook: Callable[[int, np.ndarray, np.ndarray], None]
+    | None = None,
+) -> BatchPopulationEngine:
+    """The population engine a spec describes: all R replicas, one
+    stream seeded from ``spec.seed``, the spec's adversary, target and
+    backend, and an optional ``record_hook``.
+
+    The one spec-to-engine mapping of the population chain, shared by
+    the registry adapter and callers that observe rounds (``repro
+    simulate``'s trajectory).
+    """
+    return BatchPopulationEngine(
         spec.resolved_dynamics(),
         spec.initial_counts(),
         num_replicas=spec.replicas,
@@ -431,9 +471,16 @@ def _run_spec(spec) -> list[RunResult]:
         adversary=spec.resolved_adversary(),
         target=spec.target,
         backend=getattr(spec, "backend", None),
+        record_hook=record_hook,
     )
-    return run_to_budget(engine, spec)
 
+
+def _run_spec(spec) -> list[RunResult]:
+    """Registry adapter: all R replicas in one vectorised engine."""
+    return run_to_budget(engine_from_spec(spec), spec)
+
+
+_CAPABILITIES = dict(supports_target=True, supports_adversary=True)
 
 register_engine(
     "batch",
@@ -441,7 +488,15 @@ register_engine(
     description=(
         "R replicas advanced in lockstep as one (R, k) count matrix"
     ),
-    supports_target=True,
-    supports_observers=False,
-    supports_adversary=True,
+    **_CAPABILITIES,
+)
+# The paper's own chain name runs the same engine.
+register_engine(
+    "population",
+    _run_spec,
+    description=(
+        "exact count-vector chain on the complete graph with "
+        "self-loops; another name for batch"
+    ),
+    **_CAPABILITIES,
 )

@@ -1,46 +1,30 @@
-"""Observers that record per-round metrics during a run.
+"""Per-round recorders of the paper's trajectory quantities.
 
-An observer is any object with an ``observe(round_index, counts)`` method;
-the engines call it after every round (and once for the initial
-configuration with ``round_index = 0``).  :class:`TrajectoryRecorder`
-covers the quantities the paper tracks (gamma_t, bias, surviving
-opinions); ad-hoc observers can be built from a plain function with
-:class:`FunctionObserver`.
+:class:`TrajectoryRecorder` covers the quantities the paper tracks
+(gamma_t, bias, surviving opinions) along one replica.  Feed it one
+count vector per round through :meth:`TrajectoryRecorder.observe` —
+typically from a batch engine's ``record_hook``, once for the start
+(``round_index = 0``) and then after every round::
+
+    recorder = TrajectoryRecorder()
+    engine = BatchPopulationEngine(
+        dynamics, counts, num_replicas=1, seed=rng,
+        record_hook=lambda i, counts, _: recorder.observe(i, counts[0]),
+    )
+    recorder.observe(0, engine.counts[0])
+    engine.run_until_consensus(max_rounds)
 """
 
 from __future__ import annotations
-
-from collections.abc import Callable
 
 import numpy as np
 
 from repro.state import gamma_from_counts, num_alive
 
-__all__ = [
-    "FunctionObserver",
-    "Observer",
-    "TrajectoryRecorder",
-]
+__all__ = ["TrajectoryRecorder"]
 
 
-class Observer:
-    """Base observer; subclasses override :meth:`observe`."""
-
-    def observe(self, round_index: int, counts: np.ndarray) -> None:
-        """Called once per round with the post-round configuration."""
-
-
-class FunctionObserver(Observer):
-    """Adapt a plain callable ``f(round_index, counts)`` into an observer."""
-
-    def __init__(self, func: Callable[[int, np.ndarray], None]) -> None:
-        self.func = func
-
-    def observe(self, round_index: int, counts: np.ndarray) -> None:
-        self.func(round_index, counts)
-
-
-class TrajectoryRecorder(Observer):
+class TrajectoryRecorder:
     """Record the paper's basic quantities along a run.
 
     Parameters

@@ -9,8 +9,8 @@ registers one :class:`EngineInfo` describing
 * how to execute a :class:`~repro.simulation.spec.SimulationSpec` on
   that engine (``run``: a callable ``spec -> list[RunResult]``), and
 * which spec dimensions the engine supports (``graph``, ``target``,
-  ``observers``, ``adversary``) — the spec validates against these
-  capability flags instead of hard-coding per-engine rules.
+  ``adversary``) — the spec validates against these capability flags
+  instead of hard-coding per-engine rules.
 
 Registering an entry is the *only* step needed to expose a new engine:
 ``SimulationSpec(engine="name")`` validates against the entry's
@@ -27,36 +27,16 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
 
 from repro.errors import ConfigurationError
 
 __all__ = [
-    "Engine",
     "EngineInfo",
     "available_engines",
     "get_engine",
     "register_engine",
     "unregister_engine",
 ]
-
-
-@runtime_checkable
-class Engine(Protocol):
-    """Structural protocol shared by the step-based engines.
-
-    Anything exposing ``step()``, ``counts`` and ``round_index`` can be
-    driven by :func:`~repro.engine.runner.run_until_consensus`; the
-    population, agent and batch engines all conform (the asynchronous
-    engine conforms with ``round_index`` measured in
-    synchronous-equivalent rounds).
-    """
-
-    counts: object
-    round_index: object
-
-    def step(self):  # pragma: no cover - protocol signature only
-        ...
 
 
 @dataclass(frozen=True)
@@ -76,7 +56,6 @@ class EngineInfo:
     description: str = ""
     supports_graph: bool = False
     supports_target: bool = False
-    supports_observers: bool = False
     supports_adversary: bool = False
 
 
@@ -90,7 +69,6 @@ def register_engine(
     description: str = "",
     supports_graph: bool = False,
     supports_target: bool = False,
-    supports_observers: bool = False,
     supports_adversary: bool = False,
     replace: bool = False,
 ) -> EngineInfo:
@@ -120,7 +98,6 @@ def register_engine(
         description=description,
         supports_graph=supports_graph,
         supports_target=supports_target,
-        supports_observers=supports_observers,
         supports_adversary=supports_adversary,
     )
     _REGISTRY[name] = info

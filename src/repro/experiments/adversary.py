@@ -16,8 +16,8 @@ Each tolerance point is one declarative
 :class:`~repro.simulation.spec.SimulationSpec` executed on the batch
 engine: all ``num_runs`` replicas advance as one ``(R, k)`` count
 matrix with the adversary's vectorised ``corrupt_batch`` applied every
-round, so the sweep gets the batched-replica speedup instead of
-``num_runs`` sequential adversarial chains
+round, so the sweep gets the batched-replica speedup over running the
+``num_runs`` adversarial chains one at a time
 (``benchmarks/bench_adversary.py`` tracks the factor).
 """
 

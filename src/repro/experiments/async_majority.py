@@ -18,9 +18,8 @@ chains advance tick-by-tick in lockstep inside one
 :class:`~repro.engine.async_batch.AsyncBatchPopulationEngine` (all
 ``num_runs`` replicas of a k-point per Python tick-loop iteration
 instead of ``num_runs`` sequential tick loops), and the synchronous
-side goes through the ``batch`` engine.  Per replica both engines sample
-the same chains as the sequential ones — equal in distribution, not in
-realisation, since a batch shares one stream.
+side goes through the ``batch`` engine.  A batch shares one stream, so
+replica ``i``'s realisation depends on the replica count.
 """
 
 from __future__ import annotations

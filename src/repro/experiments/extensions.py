@@ -18,8 +18,9 @@ catalogued dynamics now has a vectorised ``population_step_batch``, so
 the replicated h-Majority / undecided / baseline measurements advance
 all replicas as one count matrix instead of a Python replica loop (the
 USD runs rely on the batch engine's k+1-label consensus convention:
-only a *decided* winner stops a row).  The expander comparison stays on
-the per-vertex agent engine, which is the point of that probe.
+only a *decided* winner stops a row).  The expander comparison runs the
+per-vertex graph engine, one replica row per graph (each replica draws
+its own random-regular graph), which is the point of that probe.
 """
 
 from __future__ import annotations
@@ -33,13 +34,10 @@ from repro.analysis.estimators import consensus_times
 from repro.configs.initial import balanced
 from repro.core.h_majority import HMajority
 from repro.core.median import MedianRule
-from repro.core.registry import make_dynamics
 from repro.core.three_majority import ThreeMajority
 from repro.core.undecided import UndecidedStateDynamics, with_undecided_slot
 from repro.core.voter import Voter
-from repro.engine.agent import AgentEngine
-from repro.engine.population import PopulationEngine
-from repro.engine.runner import run_until_consensus
+from repro.engine.agent_batch import BatchAgentEngine
 from repro.seeding import spawn_generators
 from repro.state import counts_to_agents
 from repro.experiments.base import (
@@ -185,20 +183,26 @@ def run(preset: str = "quick", seed: int = 0) -> ExperimentResult:
             n, params["expander_degree"], seed=rng, self_loops=True
         )
         opinions = counts_to_agents(balanced(n, k), rng=rng, shuffle=True)
-        engine = AgentEngine(
-            ThreeMajority(), graph, opinions, num_opinions=k, seed=rng
+        engine = BatchAgentEngine(
+            ThreeMajority(),
+            graph,
+            opinions,
+            num_replicas=1,
+            num_opinions=k,
+            seed=rng,
         )
-        result = run_until_consensus(engine, max_rounds=budget)
+        (result,) = engine.run_until_consensus(budget)
         if result.converged:
             expander_times.append(float(result.rounds))
-        complete_engine = AgentEngine(
+        complete_engine = BatchAgentEngine(
             ThreeMajority(),
             CompleteGraph(n),
             counts_to_agents(balanced(n, k)),
+            num_replicas=1,
             num_opinions=k,
             seed=(seed, 300 + run_idx),
         )
-        result = run_until_consensus(complete_engine, max_rounds=budget)
+        (result,) = complete_engine.run_until_consensus(budget)
         if result.converged:
             complete_times.append(float(result.rounds))
     med_exp = (

@@ -27,9 +27,8 @@ import numpy as np
 
 from repro.analysis.comparison import ComparisonRecord
 from repro.core.registry import make_dynamics
+from repro.engine.batch import BatchPopulationEngine
 from repro.engine.callbacks import TrajectoryRecorder
-from repro.engine.population import PopulationEngine
-from repro.engine.runner import run_until_consensus
 from repro.seeding import spawn_generators
 from repro.state import gamma_from_counts
 from repro.experiments.base import ExperimentResult, require_preset
@@ -102,11 +101,12 @@ def run(preset: str = "quick", seed: int = 0) -> ExperimentResult:
         for rng in spawn_generators(seed, runs_per_stage):
             tracker = StoppingTimeTracker(pair=(weak_idx, 0))
             recorder = TrajectoryRecorder(record_gamma=True)
-            engine = PopulationEngine(dynamics, counts, seed=rng)
-            run_until_consensus(
-                engine,
-                max_rounds=window,
-                observers=(tracker, recorder),
+            _observed_run(
+                dynamics,
+                counts,
+                rng,
+                window,
+                (tracker, recorder),
                 target=lambda c: c[weak_idx] == 0,
             )
             if "vanish_i" in tracker.times:
@@ -122,11 +122,12 @@ def run(preset: str = "quick", seed: int = 0) -> ExperimentResult:
         window = int(params["window_constant"] * log_n / gamma0)
         for rng in spawn_generators((seed, 1), runs_per_stage):
             tracker = StoppingTimeTracker(pair=(0, 1))
-            engine = PopulationEngine(dynamics, counts, seed=rng)
-            run_until_consensus(
-                engine,
-                max_rounds=window,
-                observers=(tracker,),
+            _observed_run(
+                dynamics,
+                counts,
+                rng,
+                window,
+                (tracker,),
                 target=lambda c: _is_weak(c, 1, constants),
             )
             if "weak_j" in tracker.times:
@@ -138,11 +139,12 @@ def run(preset: str = "quick", seed: int = 0) -> ExperimentResult:
         window = int(params["window_constant"] * log_n / gamma0)
         for rng in spawn_generators((seed, 2), runs_per_stage):
             tracker = StoppingTimeTracker(pair=(0, 1), x_delta=x_delta)
-            engine = PopulationEngine(dynamics, counts, seed=rng)
-            run_until_consensus(
-                engine,
-                max_rounds=window,
-                observers=(tracker,),
+            _observed_run(
+                dynamics,
+                counts,
+                rng,
+                window,
+                (tracker,),
                 target=lambda c: _amplified(c, x_delta, constants),
             )
             if tracker.first("plus_delta", "weak_i", "weak_j") is not None:
@@ -176,6 +178,26 @@ def run(preset: str = "quick", seed: int = 0) -> ExperimentResult:
             "is meaningful."
         ),
     )
+
+
+def _observed_run(dynamics, counts, rng, window, observers, target) -> None:
+    """One chain on a one-row engine until ``target`` or ``window``
+    rounds, feeding each observer the start and every round."""
+
+    def observe(round_index: int, row: np.ndarray) -> None:
+        for observer in observers:
+            observer.observe(round_index, row)
+
+    engine = BatchPopulationEngine(
+        dynamics,
+        counts,
+        num_replicas=1,
+        seed=rng,
+        target=target,
+        record_hook=lambda i, rows, _: observe(i, rows[0]),
+    )
+    observe(0, engine.counts[0])
+    engine.run_until_consensus(window)
 
 
 def _is_weak(counts: np.ndarray, idx: int, constants: DriftConstants) -> bool:

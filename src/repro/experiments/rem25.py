@@ -26,7 +26,7 @@ from repro.analysis.comparison import ComparisonRecord
 from repro.analysis.scaling import fit_power_law
 from repro.configs.initial import balanced
 from repro.core.registry import make_dynamics
-from repro.engine.population import PopulationEngine
+from repro.engine.batch import BatchPopulationEngine
 from repro.seeding import spawn_generators
 from repro.experiments.base import ExperimentResult, require_preset
 
@@ -48,7 +48,6 @@ def run(preset: str = "quick", seed: int = 0) -> ExperimentResult:
     params = require_preset(PRESETS, preset)
     n = params["n"]
     checkpoints = tuple(params["checkpoints"])
-    horizon = max(checkpoints)
     survivors: dict[str, np.ndarray] = {}
     for dyn_idx, dyn_name in enumerate(("3-majority", "2-choices")):
         dynamics = make_dynamics(dyn_name)
@@ -58,15 +57,14 @@ def run(preset: str = "quick", seed: int = 0) -> ExperimentResult:
         for run_idx, rng in enumerate(
             spawn_generators((seed, dyn_idx), params["num_runs"])
         ):
-            engine = PopulationEngine(dynamics, balanced(n, n), seed=rng)
-            checkpoint_pos = 0
-            for round_index in range(1, horizon + 1):
-                engine.step()
-                if round_index == checkpoints[checkpoint_pos]:
-                    per_run[run_idx, checkpoint_pos] = engine.alive
-                    checkpoint_pos += 1
-                    if checkpoint_pos == len(checkpoints):
-                        break
+            engine = BatchPopulationEngine(
+                dynamics, balanced(n, n), num_replicas=1, seed=rng
+            )
+            # A row frozen at consensus keeps its counts, so stepping
+            # stops early without changing what later checkpoints read.
+            for pos, checkpoint in enumerate(checkpoints):
+                engine.run_until_consensus(checkpoint)
+                per_run[run_idx, pos] = engine.alive[0]
         survivors[dyn_name] = np.median(per_run, axis=0)
 
     rows: list[list] = []

@@ -26,9 +26,8 @@ from repro.analysis.estimators import summarize
 from repro.analysis.trajectories import first_hitting_time
 from repro.configs.initial import balanced
 from repro.core.registry import make_dynamics
+from repro.engine.batch import BatchPopulationEngine
 from repro.engine.callbacks import TrajectoryRecorder
-from repro.engine.population import PopulationEngine
-from repro.engine.runner import run_until_consensus
 from repro.seeding import spawn_generators
 from repro.experiments.base import ExperimentResult, require_preset
 
@@ -86,13 +85,18 @@ def run(preset: str = "quick", seed: int = 0) -> ExperimentResult:
         never_below = True
         for rng in spawn_generators(seed, params["num_runs"]):
             recorder = TrajectoryRecorder(record_gamma=True)
-            engine = PopulationEngine(dynamics, balanced(n, n), seed=rng)
-            run_until_consensus(
-                engine,
-                max_rounds=horizon,
-                observers=(recorder,),
+            engine = BatchPopulationEngine(
+                dynamics,
+                balanced(n, n),
+                num_replicas=1,
+                seed=rng,
                 target=lambda counts: _gamma(counts) >= threshold,
+                record_hook=lambda i, counts, _: recorder.observe(
+                    i, counts[0]
+                ),
             )
+            recorder.observe(0, engine.counts[0])
+            engine.run_until_consensus(horizon)
             gamma_series = np.asarray(recorder.gamma)
             hit = first_hitting_time(gamma_series, threshold, "up")
             if hit is not None:

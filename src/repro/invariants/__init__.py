@@ -6,9 +6,8 @@ accounting, Undecided-State censoring — are registered as named
 checks (:mod:`repro.invariants.checks`) over a uniform
 :class:`~repro.invariants.trace.RunTrace` observation format, and
 :func:`~repro.invariants.harness.run_traced` records such a trace from
-any of the six registered engines: the batch families through their
-opt-in ``record_hook``, the sequential families through their public
-stepping surface, adversaries through the
+any of the six registered engine names through the engines' opt-in
+``record_hook``, and adversaries through the
 :class:`~repro.invariants.trace.LedgerAdversary` wrapper.
 
 ``tests/test_invariants.py`` runs the full engine × dynamics ×

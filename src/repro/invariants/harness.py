@@ -4,19 +4,11 @@
 bounded number of rounds (ticks for the asynchronous families) and
 returns the complete :class:`~repro.invariants.trace.RunTrace` —
 per-observation count matrices and frozen masks, plus the adversary's
-ledger.  The recording channel differs per family but the trace format
-does not:
-
-* batch engines (``batch`` / ``agent-batch`` / ``async-batch``, and
-  ``async``, which is another name for ``async-batch``) record through
-  their opt-in ``record_hook`` — the engine calls back after every
-  step/tick with its own state, so the trace sees exactly what the
-  engine saw;
-* sequential engines (``population`` / ``agent``) are stepped directly
-  and snapshotted through their public ``counts``/``round_index``
-  surface — the same observation contract the sequential
-  :class:`~repro.engine.callbacks.Observer` callbacks use, with the
-  single run traced as replica row 0.
+ledger.  Every engine (``batch`` / ``agent-batch`` / ``async-batch``,
+and ``population`` / ``agent`` / ``async``, their other names) records
+through its opt-in ``record_hook``: the engine calls back after every
+step/tick with its own state, so the trace sees exactly what the engine
+saw.
 
 Adversaries are wrapped in
 :class:`~repro.invariants.trace.LedgerAdversary` before the engine
@@ -33,11 +25,9 @@ from repro.configs import balanced
 from repro.core.registry import make_dynamics
 from repro.core.undecided import UndecidedStateDynamics, with_undecided_slot
 from repro.engine import (
-    AgentEngine,
     AsyncBatchPopulationEngine,
     BatchAgentEngine,
     BatchPopulationEngine,
-    PopulationEngine,
 )
 from repro.engine.registry import available_engines, get_engine
 from repro.errors import ConfigurationError
@@ -48,7 +38,12 @@ from repro.state import counts_to_agents
 
 __all__ = ["run_traced"]
 
-_SEQUENTIAL = ("population", "agent")
+#: Each chain's other registry name, and the engine it runs.
+_CANONICAL = {
+    "population": "batch",
+    "agent": "agent-batch",
+    "async": "async-batch",
+}
 
 
 def run_traced(
@@ -67,12 +62,11 @@ def run_traced(
 
     ``k`` counts *decided* opinions; Undecided-State runs get the extra
     undecided slot appended automatically (``num_labels = k + 1``),
-    exactly as the engines' own label convention demands.  Sequential
-    engines trace a single run (``num_replicas`` is a batch-family
-    knob); adversarial runs on target-capable engines stop at the
-    near-consensus threshold — the same stopping rule the sweep driver
-    applies, since an F >= 1 adversary can stall strict consensus
-    forever.  Asynchronous families interpret ``max_rounds`` as
+    exactly as the engines' own label convention demands.  Adversarial
+    runs on target-capable engines stop at the near-consensus
+    threshold — the same stopping rule the sweep driver applies, since
+    an F >= 1 adversary can stall strict consensus forever.
+    Asynchronous families interpret ``max_rounds`` as
     ``max_rounds * n`` ticks, matching their registry adapters.
     """
     if engine_name not in available_engines():
@@ -105,9 +99,7 @@ def run_traced(
         if adversary_budget > 0 and info.supports_target:
             target = near_consensus_target(n, adversary_budget)
 
-    replicas = (
-        1 if engine_name in _SEQUENTIAL else max(1, int(num_replicas))
-    )
+    replicas = max(1, int(num_replicas))
     trace = RunTrace(
         engine=engine_name,
         dynamics=str(dynamics_spec),
@@ -130,58 +122,18 @@ def run_traced(
     )
     rng = as_generator(seed)
 
-    if engine_name in _SEQUENTIAL:
-        _drive_sequential(
-            trace, engine_name, dynamics, counts, rng, ledger, target,
-            max_rounds,
-        )
-    else:
-        _drive_batch(
-            trace, engine_name, dynamics, counts, rng, ledger, target,
-            max_rounds, replicas,
-        )
+    _drive_batch(
+        trace,
+        _CANONICAL.get(engine_name, engine_name),
+        dynamics,
+        counts,
+        rng,
+        ledger,
+        target,
+        max_rounds,
+        replicas,
+    )
     return trace
-
-
-def _drive_sequential(
-    trace, engine_name, dynamics, counts, rng, ledger, target, max_rounds
-) -> None:
-    """Step one sequential engine, snapshotting its public state.
-
-    The stopping rule mirrors :func:`~repro.engine.runner.
-    run_until_consensus`: the caller ``target`` when given, else the
-    dynamics' own consensus convention — and the frozen flag recorded
-    per snapshot is that rule evaluated on the snapshot's counts, so
-    the trace says exactly when the run would have stopped.
-    """
-
-    def stopped(row: np.ndarray) -> bool:
-        if target is not None:
-            return bool(target(row))
-        return bool(dynamics.is_consensus_counts(row))
-
-    if engine_name == "population":
-        engine = PopulationEngine(
-            dynamics, counts, seed=rng, adversary=ledger
-        )
-    else:
-        graph = CompleteGraph(trace.n)
-        opinions = counts_to_agents(counts, rng=rng, shuffle=True)
-        engine = AgentEngine(
-            dynamics,
-            graph,
-            opinions,
-            num_opinions=trace.num_labels,
-            seed=rng,
-            adversary=ledger,
-        )
-
-    done = stopped(engine.counts)
-    trace.snap(0, engine.counts, [done])
-    while not done and engine.round_index < max_rounds:
-        engine.step()
-        done = stopped(engine.counts)
-        trace.snap(engine.round_index, engine.counts, [done])
 
 
 def _drive_batch(

@@ -2,12 +2,12 @@
 
 Every engine family exposes its state differently (count vectors,
 opinion matrices, ticks vs. rounds); invariants should not care.  A
-:class:`RunTrace` normalises one run — sequential or batched — into a
-sequence of :class:`TraceSnapshot` observations over an ``(R, k)``
-count matrix plus a per-row frozen mask, with the adversary's actual
+:class:`RunTrace` normalises one batched run into a sequence of
+:class:`TraceSnapshot` observations over an ``(R, k)`` count matrix
+plus a per-row frozen mask, with the adversary's actual
 per-round movements captured by :class:`LedgerAdversary` as they
-happen.  Sequential engines trace as ``R = 1``; the asynchronous
-engine snapshots per tick with ``index`` counting ticks.
+happen.  The asynchronous engine snapshots per tick with ``index``
+counting ticks.
 
 The ledger wrapper is what makes budget accounting engine-agnostic:
 rather than teaching six engines to report what their adversary did,

@@ -32,7 +32,6 @@ __all__ = ["SpecThreadingRule"]
 _PROGRAMMATIC_ONLY = {
     "counts": "explicit numpy start vector; built in code, not parsed",
     "target": "arbitrary stopping predicate (callable)",
-    "observer_factory": "stateful observer constructor (callable)",
     "on_budget": "error-handling policy, not a swept axis",
 }
 

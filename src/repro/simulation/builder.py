@@ -24,7 +24,7 @@ Every method mutates the builder and returns it (standard fluent style);
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 
 import numpy as np
 
@@ -68,7 +68,6 @@ class Simulation:
             "seed": spec.seed,
             "max_rounds": spec.max_rounds,
             "target": spec.target,
-            "observer_factory": spec.observer_factory,
             "on_budget": spec.on_budget,
             "backend": spec.backend,
         }
@@ -145,10 +144,11 @@ class Simulation:
     def on_graph(self, graph: Graph | None = None) -> "Simulation":
         """Use a graph-capable engine, optionally on a specific graph.
 
-        Selects the sequential ``agent`` engine — unless a batch engine
-        was already chosen, in which case the batched graph engine is
-        kept, so ``batch().on_graph(g)`` and ``on_graph(g).batch()``
-        resolve identically to ``agent-batch``.
+        Selects the ``agent`` engine — unless ``batch`` was already
+        chosen, in which case ``agent-batch`` is, so
+        ``batch().on_graph(g)`` and ``on_graph(g).batch()`` resolve
+        identically.  ``agent`` is another name for ``agent-batch``, so
+        both run the same graph engine.
         """
         self._settings["graph"] = graph
         if self._settings.get("engine") in ("batch", "agent-batch"):
@@ -194,13 +194,6 @@ class Simulation:
     ) -> "Simulation":
         """Replace the consensus check with a custom predicate."""
         self._settings["target"] = target
-        return self
-
-    def observe_with(
-        self, observer_factory: Callable[[], Sequence]
-    ) -> "Simulation":
-        """Attach per-replica observers (factory is called per run)."""
-        self._settings["observer_factory"] = observer_factory
         return self
 
     def on_budget(self, policy: str) -> "Simulation":

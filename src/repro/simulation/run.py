@@ -14,35 +14,32 @@ to make it runnable from specs, the fluent builder and the CLI.
 
 Engine semantics
 ----------------
-``population`` / ``agent``
-    R sequential runs over spawned child streams (replica ``i`` always
-    gets child ``i``, so results are order-independent).  The agent
-    engine shuffles vertex identities per replica, which matters on
-    non-complete graphs.
+Each Markov chain has one engine, and every engine has two registry
+names that run the same adapter, so a seeded spec returns exactly the
+same results under either name.  All R replicas share one stream
+seeded from the spec seed, so replica ``i``'s realisation depends on R.
+
+``batch`` / ``population``
+    The exact count-vector chain on the complete graph with self-loops:
+    all R replicas advance in lockstep inside one
+    :class:`~repro.engine.batch.BatchPopulationEngine`.
+``agent-batch`` / ``agent``
+    The per-vertex chain on a graph substrate: all R replicas advance
+    as one ``(R, n)`` opinion matrix on the shared substrate inside a
+    :class:`~repro.engine.agent_batch.BatchAgentEngine`, with vertex
+    identities shuffled independently per replica row.
 ``async-batch`` / ``async``
     The one-vertex-per-tick [CMRSS25] chain: all R replicas advance
     tick-by-tick in lockstep inside one
     :class:`~repro.engine.async_batch.AsyncBatchPopulationEngine`.  The
-    two names run the same adapter, so a seeded ``async`` spec returns
-    exactly what ``async-batch`` returns.  The round budget is
-    interpreted as ``max_rounds * n`` ticks and the reported ``rounds``
-    is the synchronous-equivalent ``ceil(ticks / n)``, with the raw tick
-    count in ``metrics["ticks"]``.
-``batch``
-    All R replicas advance in lockstep inside one
-    :class:`~repro.engine.batch.BatchPopulationEngine` — the same chain
-    per replica (equal in distribution to ``population``, not bitwise),
-    one vectorised hot loop overall.
-``agent-batch``
-    The graph counterpart of ``batch``: all R replicas advance as one
-    ``(R, n)`` opinion matrix on the shared substrate inside a
-    :class:`~repro.engine.agent_batch.BatchAgentEngine`, with vertex
-    identities shuffled independently per replica row (equal in
-    distribution to ``agent``, not bitwise).
+    round budget is interpreted as ``max_rounds * n`` ticks and the
+    reported ``rounds`` is the synchronous-equivalent
+    ``ceil(ticks / n)``, with the raw tick count in
+    ``metrics["ticks"]``.
 
 Every engine accepts a spec-level adversary (applied after each round,
-contract-checked); ``population``/``agent``/``batch``/``agent-batch``
-accept a custom ``target`` stopping predicate.
+contract-checked); the synchronous engines accept a custom ``target``
+stopping predicate.
 """
 
 from __future__ import annotations
@@ -78,7 +75,7 @@ def execute(spec: SimulationSpec) -> ResultSet:
         if key not in degraded_before
     }
     if spec.on_budget == "raise":
-        # All six built-in adapters raise from inside (so direct
+        # The built-in adapters raise from inside (so direct
         # get_engine(...).run(spec) callers see the same contract);
         # this uniform check covers third-party engines, so any
         # registered engine honours the policy without custom code.

@@ -18,7 +18,7 @@ or an explicit count vector) is equally supported for programmatic use.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,14 +104,15 @@ class SimulationSpec:
         Explicit initial count vector; sets ``initial="custom"``.
     engine:
         Any engine registered in :mod:`repro.engine.registry`:
-        ``"population"`` (exact count chain), ``"agent"`` (per-vertex on
-        a graph), ``"batch"`` (vectorised multi-replica count matrix),
-        ``"agent-batch"`` (vectorised multi-replica opinion matrix on a
-        graph) or ``"async-batch"`` (R one-vertex-per-tick chains
-        advanced in lockstep; ``"async"`` is another name for it).
+        ``"batch"`` (the exact count chain, R replicas as one count
+        matrix; ``"population"`` is another name for it),
+        ``"agent-batch"`` (the per-vertex chain on a graph, R replicas
+        as one opinion matrix; ``"agent"`` is another name for it) or
+        ``"async-batch"`` (R one-vertex-per-tick chains advanced in
+        lockstep; ``"async"`` is another name for it).
     graph:
-        Substrate for the graph-capable engines (``agent`` /
-        ``agent-batch``); defaults to the complete graph.
+        Substrate for the graph-capable engines (``agent-batch`` /
+        ``agent``); defaults to the complete graph.
     adversary:
         Optional F-bounded adversary ([GL18] model, paper Section 2.5)
         applied after every round: a strategy name
@@ -125,19 +126,15 @@ class SimulationSpec:
     replicas:
         Number of independent runs.
     seed:
-        Root seed.  Must be spawnable (int, int tuple, SeedSequence or
-        None) so replicas get reproducible independent streams; live
-        generators are rejected because a spec must stay declarative.
+        Root seed.  Must be declarative (int, int tuple, SeedSequence
+        or None) so a spec reproduces its run; live generators are
+        rejected.
     max_rounds:
         Round budget per run (ticks/n for the async engine).  Default:
         :func:`default_round_budget`.
     target:
-        Optional stopping predicate on the count vector (population and
-        agent engines only); replaces the consensus check.
-    observer_factory:
-        Zero-argument callable building fresh observers for each run
-        (population and agent engines only) — observers are stateful,
-        so each replica needs its own.
+        Optional stopping predicate on one replica's count vector
+        (synchronous engines only); replaces the consensus check.
     on_budget:
         ``"return"`` (censored runs flagged, default) or ``"raise"``.
     backend:
@@ -166,7 +163,6 @@ class SimulationSpec:
     seed: RandomState = 0
     max_rounds: int | None = None
     target: Callable[[np.ndarray], bool] | None = None
-    observer_factory: Callable[[], Sequence] | None = None
     on_budget: str = "return"
     backend: str = AUTO_BACKEND
 
@@ -252,13 +248,6 @@ class SimulationSpec:
             raise ConfigurationError(
                 f"engine={self.engine!r} does not support a custom "
                 "target predicate"
-            )
-        if (
-            self.observer_factory is not None
-            and not engine_info.supports_observers
-        ):
-            raise ConfigurationError(
-                f"engine={self.engine!r} does not support observers"
             )
         self._validate_adversary(engine_info, set_)
         if (

@@ -13,9 +13,10 @@ The proofs track a zoo of stopping times on the trajectory of
   band exits and threshold hits;
 * ``tau_vanish(i)`` — extinction (Definition 5.1).
 
-:class:`StoppingTimeTracker` watches a run through the observer interface
-and records the first round each of these fires, which is exactly what
-the ``fig2`` (lemma pipeline) and ``table1`` experiments need.
+:class:`StoppingTimeTracker` watches a run one round at a time (fed
+from an engine's ``record_hook``) and records the first round each of
+these fires, which is exactly what the ``fig2`` (lemma pipeline) and
+``table1`` experiments need.
 
 :class:`DriftConstants` carries the universal constants with the paper's
 example values (end of Definition 4.4):
@@ -97,8 +98,9 @@ class StoppingTimeTracker:
         Threshold for ``tau_plus_eta`` on the 2-Choices scaled bias
         ``eta = delta / sqrt(max(alpha_i, alpha_j))`` (Definition 5.3).
 
-    Feed it rounds via :meth:`observe` (compatible with the engine
-    observer protocol); the first round at which each stopping condition
+    Feed it rounds via :meth:`observe` — the start as round 0, then
+    one count vector per round, e.g. from a one-row engine's
+    ``record_hook``; the first round at which each stopping condition
     holds is stored in :attr:`times` under the keys
     ``up_i, down_i, up_j, down_j, weak_i, weak_j, active_i, active_j,
     up_delta, down_delta, plus_delta, up_gamma, down_gamma, plus_gamma,

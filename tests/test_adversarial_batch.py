@@ -1,6 +1,6 @@
 """Tests for vectorised adversaries on the batch-replica engine.
 
-Three families of guarantees:
+Two families of guarantees:
 
 * **corrupt_batch contract (property-style)** — over a seeded sweep of
   random count matrices and budgets, every strategy's vectorised
@@ -11,17 +11,16 @@ Three families of guarantees:
 * **engine integration** — frozen rows are never corrupted, mass is
   conserved every round, per-row ``target`` masking stops rows
   independently, and a contract-violating adversary raises an explicit
-  error (no ``assert``, so the check survives ``python -O``);
-* **distributional equivalence** — for each strategy, batched
-  adversarial runs must simulate the same chain as sequential
-  adversarial replication (KS tests on stopping times).
+  error (no ``assert``, so the check survives ``python -O``).
+
+The adversarial stopping-round law itself is checked against an exact
+small-chain oracle in ``tests/test_exact_distributions.py``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from scipy.stats import ks_2samp
 
 from repro.adversary import (
     Adversary,
@@ -32,12 +31,7 @@ from repro.adversary import (
 )
 from repro.configs import balanced
 from repro.core import ThreeMajority
-from repro.engine import (
-    BatchPopulationEngine,
-    PopulationEngine,
-    replicate,
-    run_until_consensus,
-)
+from repro.engine import BatchPopulationEngine
 from repro.errors import ConfigurationError, StateError
 
 STRATEGIES = {
@@ -296,59 +290,3 @@ class TestAdversarialEngineIntegration:
         results = engine.run_until_consensus(10)
         assert all(r.converged and r.rounds == 0 for r in results)
 
-
-class TestDistributionalEquivalence:
-    """Batched adversarial R replicas ~ R sequential adversarial runs.
-
-    Seeds are fixed, so these are deterministic checks that the two
-    samplers draw from indistinguishable distributions, not flaky
-    significance tests.  Strict consensus is trivially blockable by any
-    F >= 1 adversary, so runs stop at the adv-experiment threshold
-    (leader >= n - 4F).
-    """
-
-    RUNS = 100
-    N = 1024
-    K = 8
-
-    @pytest.mark.parametrize(
-        "name,budget",
-        [("random", 8), ("runner-up", 2), ("revive-weakest", 2)],
-        ids=str,
-    )
-    def test_stopping_time_distribution_matches(self, name, budget):
-        counts = balanced(self.N, self.K)
-        threshold = self.N - 4 * budget
-
-        def target(row):
-            return int(row.max()) >= threshold
-
-        def one(rng):
-            engine = PopulationEngine(
-                ThreeMajority(),
-                counts,
-                seed=rng,
-                adversary=STRATEGIES[name](budget),
-            )
-            return run_until_consensus(
-                engine, max_rounds=50_000, target=target
-            )
-
-        sequential = [
-            r.rounds for r in replicate(one, self.RUNS, seed=303)
-        ]
-        engine = BatchPopulationEngine(
-            ThreeMajority(),
-            counts,
-            num_replicas=self.RUNS,
-            seed=404,
-            adversary=STRATEGIES[name](budget),
-            target=target,
-        )
-        batch = [r.rounds for r in engine.run_until_consensus(50_000)]
-        statistic, p_value = ks_2samp(sequential, batch)
-        assert p_value > 1e-3, (
-            f"{name}(F={budget}): KS statistic {statistic:.3f}, "
-            f"p={p_value:.2e} — batched and sequential adversarial "
-            "stopping times differ in distribution"
-        )

@@ -10,7 +10,7 @@ from repro.adversary import (
     ReviveWeakest,
     SupportRunnerUp,
     available_adversaries,
-    enforce_corruption_contract,
+    enforce_corruption_contract_batch,
     make_adversary,
     near_consensus_target,
     near_consensus_threshold,
@@ -18,10 +18,7 @@ from repro.adversary import (
 from repro.adversary.base import Adversary
 from repro.configs import balanced, two_block
 from repro.core import ThreeMajority
-from repro.engine import (
-    AgentEngine,
-    PopulationEngine,
-)
+from repro.engine import BatchAgentEngine, BatchPopulationEngine
 from repro.errors import ConfigurationError, StateError
 from repro.graphs.complete import CompleteGraph
 from repro.state import counts_to_agents
@@ -169,37 +166,49 @@ class TestNearConsensusConvention:
         )
 
 
+def _population_chain(counts, seed, adversary):
+    return BatchPopulationEngine(
+        ThreeMajority(),
+        counts,
+        num_replicas=1,
+        seed=seed,
+        adversary=adversary,
+    )
+
+
 class TestCorruptionContract:
-    """The contract is an explicit raise — it survives ``python -O``."""
+    """The contract is an explicit raise — it survives ``python -O``.
+
+    Checked on one replica row, the form every engine checks it in.
+    """
+
+    @staticmethod
+    def _check(before, after, budget):
+        return enforce_corruption_contract_batch(
+            np.asarray([before], dtype=np.int64),
+            np.asarray([after], dtype=np.int64),
+            budget,
+        )[0]
 
     def test_valid_corruption_passes(self):
-        before = np.asarray([40, 60], dtype=np.int64)
-        after = np.asarray([43, 57], dtype=np.int64)
-        checked = enforce_corruption_contract(before, after, 3)
-        assert (checked == after).all()
+        checked = self._check([40, 60], [43, 57], 3)
+        assert checked.tolist() == [43, 57]
 
     def test_budget_violation_is_configuration_error(self):
-        before = np.asarray([40, 60], dtype=np.int64)
-        after = np.asarray([45, 55], dtype=np.int64)
         with pytest.raises(ConfigurationError, match="exceeding"):
-            enforce_corruption_contract(before, after, 3)
+            self._check([40, 60], [45, 55], 3)
 
     def test_mass_violation_is_state_error(self):
-        before = np.asarray([40, 60], dtype=np.int64)
-        after = np.asarray([40, 59], dtype=np.int64)
-        with pytest.raises(StateError, match="sums"):
-            enforce_corruption_contract(before, after, 3)
+        with pytest.raises(StateError, match="mass"):
+            self._check([40, 60], [40, 59], 3)
 
 
 class TestUnifiedEngineAdversaries:
     """All engines accept an adversary and enforce its contract."""
 
     def test_population_engine_interleaves_corruption(self):
-        engine = PopulationEngine(
-            ThreeMajority(),
-            two_block(1000, 4, 0.6),
-            seed=0,
-            adversary=ReviveWeakest(3),
+        engine = _population_chain(
+            two_block(1000, 4, 0.6), seed=0, adversary=ReviveWeakest(3)
         )
         engine.step()
         assert engine.round_index == 1
@@ -214,9 +223,7 @@ class TestUnifiedEngineAdversaries:
                 new[1] += move
                 return new
 
-        engine = PopulationEngine(
-            ThreeMajority(), [500, 500], seed=0, adversary=Cheater(2)
-        )
+        engine = _population_chain([500, 500], seed=0, adversary=Cheater(2))
         with pytest.raises(ConfigurationError, match="exceeding"):
             engine.step()
 
@@ -224,21 +231,20 @@ class TestUnifiedEngineAdversaries:
         n, k = 300, 3
         counts = balanced(n, k)
         rng = np.random.default_rng(0)
-        engine = AgentEngine(
+        engine = BatchAgentEngine(
             ThreeMajority(),
             CompleteGraph(n),
             counts_to_agents(counts, rng=rng, shuffle=True),
+            num_replicas=1,
             num_opinions=k,
             seed=rng,
             adversary=SupportRunnerUp(5),
         )
         for _ in range(20):
-            before = engine.counts
             engine.step()
             after = engine.counts
             assert after.sum() == n
             assert (after >= 0).all()
-            del before
         assert engine.round_index == 20
 
     def test_agent_engine_detects_cheater(self):
@@ -252,10 +258,11 @@ class TestUnifiedEngineAdversaries:
                 return new
 
         n = 100
-        engine = AgentEngine(
+        engine = BatchAgentEngine(
             ThreeMajority(),
             CompleteGraph(n),
             counts_to_agents(balanced(n, 2)),
+            num_replicas=1,
             num_opinions=2,
             seed=0,
             adversary=Cheater(1),
@@ -271,24 +278,21 @@ class TestUnifiedEngineAdversaries:
                 counts[counts.argmax()] -= 50  # destroys mass, in place
                 return counts
 
-        engine = PopulationEngine(
-            ThreeMajority(),
-            balanced(1000, 4),
-            seed=0,
-            adversary=InPlaceDrainer(1),
+        engine = _population_chain(
+            balanced(1000, 4), seed=0, adversary=InPlaceDrainer(1)
         )
-        with pytest.raises(StateError, match="sums"):
+        with pytest.raises(StateError, match="mass"):
             engine.step()
         # The engine's own state was never corrupted by the attempt.
         assert engine.counts.sum() == 1000
 
     def test_no_adversary_stream_untouched(self):
-        """adversary=None must not perturb the historical seed streams."""
+        """adversary=None must not perturb the seed stream."""
         counts = balanced(500, 4)
-        plain = PopulationEngine(ThreeMajority(), counts, seed=9)
-        explicit = PopulationEngine(
-            ThreeMajority(), counts, seed=9, adversary=None
+        plain = BatchPopulationEngine(
+            ThreeMajority(), counts, num_replicas=1, seed=9
         )
+        explicit = _population_chain(counts, seed=9, adversary=None)
         for _ in range(10):
             plain.step()
             explicit.step()
@@ -305,47 +309,37 @@ class TestAdversarialPopulationChain:
                 new[0] = max(new[0] - 1, 0)
                 return new
 
-        engine = PopulationEngine(
-            ThreeMajority(), [500, 500], seed=0, adversary=Leaker(5)
-        )
-        with pytest.raises(Exception, match="sums|expected"):
+        engine = _population_chain([500, 500], seed=0, adversary=Leaker(5))
+        with pytest.raises(StateError, match="mass"):
             engine.step()
 
     def test_zero_budget_reaches_consensus(self):
-        engine = PopulationEngine(
-            ThreeMajority(),
-            balanced(1000, 4),
-            seed=1,
-            adversary=SupportRunnerUp(0),
+        engine = _population_chain(
+            balanced(1000, 4), seed=1, adversary=SupportRunnerUp(0)
         )
-        for _ in range(5000):
-            engine.step()
-            if engine.is_consensus():
-                break
-        assert engine.is_consensus()
+        (result,) = engine.run_until_consensus(5000)
+        assert result.converged
+        assert result.winner is not None
 
     def test_large_budget_stalls(self):
         """A budget ~n/8 per round pins the top two together."""
-        engine = PopulationEngine(
-            ThreeMajority(),
-            balanced(800, 2),
-            seed=2,
-            adversary=SupportRunnerUp(100),
+        engine = _population_chain(
+            balanced(800, 2), seed=2, adversary=SupportRunnerUp(100)
         )
-        for _ in range(2000):
-            engine.step()
-        assert not engine.is_consensus()
+        (result,) = engine.run_until_consensus(2000)
+        assert not result.converged
+        assert engine.round_index == 2000
 
     def test_small_budget_still_converges_nearly(self):
         """F = 1 cannot stop the leader from taking all but O(1)."""
-        engine = PopulationEngine(
+        engine = BatchPopulationEngine(
             ThreeMajority(),
             two_block(2000, 4, 0.5),
+            num_replicas=1,
             seed=3,
             adversary=SupportRunnerUp(1),
+            target=lambda counts: counts.max() >= 2000 - 4,
         )
-        for _ in range(4000):
-            engine.step()
-            if engine.counts.max() >= 2000 - 4:
-                break
-        assert engine.counts.max() >= 2000 - 4
+        (result,) = engine.run_until_consensus(4000)
+        assert result.converged
+        assert result.final_counts.max() >= 2000 - 4

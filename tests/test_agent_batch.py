@@ -1,12 +1,14 @@
-"""Cross-engine equivalence harness for the batched graph engine.
+"""Contract tests for the batched graph engine.
 
-The ``agent-batch`` engine must simulate, per replica row, exactly the
-chain the sequential :class:`~repro.engine.agent.AgentEngine` runs on
-the same substrate.  This module is the contract:
+The ``agent-batch`` engine (also registered as ``agent``) is the one
+engine of the per-vertex chain.  Its one-step law on sparse graphs and
+its consensus-round law on the complete graph are checked against exact
+oracles in ``tests/test_exact_distributions.py``.  This module covers
+the rest of the contract:
 
-* **distributional equivalence** — KS tests of batch vs sequential
-  consensus times on (a) the complete graph with self-loops and (b) a
-  fixed random-regular graph, for 3-Majority and Voter;
+* **sampling-layout invariance** — chunked and unchunked draws sample
+  the same consensus-time law (KS test), and label-minting dynamics
+  fail loudly;
 * **no-row-loop guard** — the pull-based paper dynamics must keep their
   vectorised ``agent_step_batch`` overrides;
 * **sampling primitive** — ``Graph.sample_neighbors_batch`` draws
@@ -41,12 +43,7 @@ from repro.core import (
     gather_neighbor_opinions_batch,
     with_undecided_slot,
 )
-from repro.engine import (
-    AgentEngine,
-    BatchAgentEngine,
-    replicate,
-    run_until_consensus,
-)
+from repro.engine import BatchAgentEngine
 from repro.engine.agent_batch import apply_count_delta
 from repro.engine.registry import get_engine
 from repro.errors import ConfigurationError, ConsensusNotReached, GraphError
@@ -62,17 +59,6 @@ from repro.simulation import Simulation, SimulationSpec
 from repro.state import agents_to_counts, counts_to_agents
 
 
-def _sequential_times(dynamics, graph, counts, runs, seed, k):
-    def one(rng):
-        opinions = counts_to_agents(counts, rng=rng, shuffle=True)
-        engine = AgentEngine(
-            dynamics, graph, opinions, num_opinions=k, seed=rng
-        )
-        return run_until_consensus(engine, max_rounds=1_000_000)
-
-    return [r.rounds for r in replicate(one, runs, seed=seed)]
-
-
 def _batch_times(dynamics, graph, counts, runs, seed, k):
     rng = np.random.default_rng(seed)
     opinions = rng.permuted(
@@ -85,72 +71,7 @@ def _batch_times(dynamics, graph, counts, runs, seed, k):
 
 
 class TestDistributionalEquivalence:
-    """Batch R graph replicas ~ R sequential agent runs.
-
-    Seeds are fixed, so these are deterministic checks that the two
-    samplers were drawn from indistinguishable distributions.
-    """
-
-    RUNS = 100
-
-    @pytest.mark.parametrize(
-        "dynamics,n,k",
-        [(ThreeMajority(), 512, 4), (Voter(), 96, 2)],
-        ids=lambda x: getattr(x, "name", str(x)),
-    )
-    def test_complete_graph_with_self_loops(self, dynamics, n, k):
-        graph = CompleteGraph(n, self_loops=True)
-        counts = balanced(n, k)
-        sequential = _sequential_times(
-            dynamics, graph, counts, self.RUNS, seed=11, k=k
-        )
-        batch = _batch_times(
-            dynamics, graph, counts, self.RUNS, seed=22, k=k
-        )
-        statistic, p_value = ks_2samp(sequential, batch)
-        assert p_value > 1e-3, (
-            f"{dynamics.name} on {graph!r}: KS statistic "
-            f"{statistic:.3f}, p={p_value:.2e} — batch and sequential "
-            "consensus times differ in distribution"
-        )
-
-    @pytest.mark.parametrize(
-        "dynamics,n,k,degree",
-        [
-            # Degree 7 + self-loops = 8: the power-of-two raw-bit path.
-            (ThreeMajority(), 512, 4, 7),
-            # Degree 5 + self-loops = 6: the general scalar-bound path.
-            (Voter(), 96, 2, 5),
-        ],
-        ids=lambda x: getattr(x, "name", str(x)),
-    )
-    def test_fixed_random_regular_graph(self, dynamics, n, k, degree):
-        graph = random_regular(n, degree, seed=3)
-        counts = balanced(n, k)
-        sequential = _sequential_times(
-            dynamics, graph, counts, self.RUNS, seed=11, k=k
-        )
-        batch = _batch_times(
-            dynamics, graph, counts, self.RUNS, seed=22, k=k
-        )
-        statistic, p_value = ks_2samp(sequential, batch)
-        assert p_value > 1e-3, (
-            f"{dynamics.name} on {graph!r}: KS statistic "
-            f"{statistic:.3f}, p={p_value:.2e} — batch and sequential "
-            "consensus times differ in distribution"
-        )
-
-    def test_two_choices_matches_on_sparse_substrate(self):
-        # 2-Choices exercises the keep-own-opinion branch of the
-        # batched combiner, which the other two dynamics never hit.
-        graph = random_regular(256, 9, seed=5)
-        counts = balanced(256, 4)
-        sequential = _sequential_times(
-            TwoChoices(), graph, counts, 80, seed=1, k=4
-        )
-        batch = _batch_times(TwoChoices(), graph, counts, 80, seed=2, k=4)
-        statistic, p_value = ks_2samp(sequential, batch)
-        assert p_value > 1e-3, (statistic, p_value)
+    """Laws that must not depend on how the engine consumes its stream."""
 
     def test_chunked_and_unchunked_sample_the_same_law(self):
         # batch_element_budget changes how the raw stream is consumed
@@ -181,7 +102,7 @@ class TestDistributionalEquivalence:
     def test_out_of_range_labels_fail_loudly_in_counts(self):
         # The offset bincount behind counts/results would silently file
         # an out-of-range label under the next row's bins; it must
-        # raise instead (mirrors the sequential engine's validation).
+        # raise instead.
         from repro.errors import StateError
 
         engine = BatchAgentEngine(
@@ -576,7 +497,6 @@ class TestSpecAndBuilderWiring:
         assert info.supports_graph
         assert info.supports_target
         assert info.supports_adversary
-        assert not info.supports_observers
 
     def test_target_predicate_on_counts(self):
         spec = SimulationSpec(

@@ -266,7 +266,6 @@ class TestSpecIntegration:
         assert info.supports_adversary
         assert not info.supports_graph
         assert not info.supports_target
-        assert not info.supports_observers
 
     def test_spec_round_budget_is_ticks_over_n(self):
         spec = SimulationSpec(

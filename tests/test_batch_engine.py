@@ -1,21 +1,17 @@
 """Tests for the vectorised batch-replica engine.
 
-Two families of guarantees, mirroring the ledger-style invariant suites
-used for stateful simulators:
-
-* **distributional equivalence** — a batch of R replicas must simulate
-  the same Markov chain as R independent sequential runs (KS tests on
-  consensus times for both paper dynamics);
-* **conservation / ledger integrity** — per-replica mass is conserved
-  every round, the round index is bounded and monotone, frozen rows
-  never change again, and recorded consensus rounds are final.
+Ledger-style guarantees, mirroring the invariant suites used for
+stateful simulators: per-replica mass is conserved every round, the
+round index is bounded and monotone, frozen rows never change again,
+and recorded consensus rounds are final.  The consensus-round law
+itself is checked against an exact small-chain oracle in
+``tests/test_exact_distributions.py``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from scipy.stats import ks_2samp
 
 from dynamics_ids import dynamics_id
 from repro.configs import balanced, zipf
@@ -30,20 +26,9 @@ from repro.engine import (
     AsyncBatchPopulationEngine,
     BatchAgentEngine,
     BatchPopulationEngine,
-    PopulationEngine,
-    replicate,
-    run_until_consensus,
 )
 from repro.errors import ConfigurationError, StateError
 from repro.graphs.complete import CompleteGraph
-
-
-def _sequential_times(dynamics, counts, runs, seed, max_rounds=100_000):
-    def one(rng):
-        engine = PopulationEngine(dynamics, counts, seed=rng)
-        return run_until_consensus(engine, max_rounds=max_rounds)
-
-    return [r.rounds for r in replicate(one, runs, seed=seed)]
 
 
 #: One constructor per batch engine, taking the start and num_replicas.
@@ -212,43 +197,7 @@ class TestConservationLedger:
 
 
 class TestDistributionalEquivalence:
-    """Batch R replicas ~ R independent sequential runs (KS tests).
-
-    Seeds are fixed, so these are deterministic checks that the two
-    samplers were drawn from indistinguishable distributions, not flaky
-    significance tests.
-    """
-
-    RUNS = 120
-
-    @pytest.mark.parametrize(
-        "dynamics, counts",
-        [
-            pytest.param(ThreeMajority(), balanced(1024, 8), id="3-majority"),
-            pytest.param(TwoChoices(), balanced(1024, 8), id="2-choices"),
-            # Starts on the sparse 2-Choices batch strategy (about one
-            # switcher per 16 label slots) and ends on the dense one.
-            pytest.param(
-                TwoChoices(), balanced(256, 64), id="2-choices-n256-k64"
-            ),
-        ],
-    )
-    def test_consensus_time_distribution_matches(self, dynamics, counts):
-        sequential = _sequential_times(
-            dynamics, counts, self.RUNS, seed=101
-        )
-        engine = BatchPopulationEngine(
-            dynamics, counts, num_replicas=self.RUNS, seed=202
-        )
-        batch = [
-            r.rounds for r in engine.run_until_consensus(100_000)
-        ]
-        statistic, p_value = ks_2samp(sequential, batch)
-        assert p_value > 1e-3, (
-            f"{dynamics.name}: KS statistic {statistic:.3f}, "
-            f"p={p_value:.2e} — batch and sequential consensus times "
-            "differ in distribution"
-        )
+    """Symmetry of the batched sampler at a size no oracle enumerates."""
 
     def test_winner_distribution_uniform_from_balanced(self):
         # From an exactly balanced start every opinion is equally likely

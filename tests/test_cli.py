@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -241,6 +242,29 @@ class TestSimulate:
         out = capsys.readouterr().out
         assert code == 0
         assert "threshold of 1016 vertices" in out
+
+    @pytest.mark.parametrize(
+        "extra",
+        [[], ["--adversary", "runner-up", "--adversary-budget", "2"]],
+        ids=["consensus", "adversary"],
+    )
+    def test_trajectory_reports_the_batch_run(self, capsys, extra):
+        """The trajectory runs the one-row population engine the spec
+        describes, so it reports what ``--engine batch`` reports at the
+        same seed."""
+        args = ["simulate", "--n", "1024", "--k", "4", "--seed", "5"]
+        assert main(args + extra) == 0
+        trajectory = capsys.readouterr().out
+        assert main(args + extra + ["--engine", "batch"]) == 0
+        batch = capsys.readouterr().out
+        (rounds,) = re.findall(r"after (\d+) rounds", trajectory)
+        assert f"consensus time: median {rounds}, q10 {rounds}" in batch
+        winner = re.findall(r"consensus on opinion (\d+)", trajectory)
+        assert (
+            f"opinion {winner[0]} won 1/1" in batch
+            if winner
+            else "winners:" not in batch
+        )
 
     def test_adversary_without_budget_exit_2(self, capsys):
         code = main(

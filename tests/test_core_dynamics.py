@@ -426,21 +426,22 @@ class TestUndecided:
         graph, vertices holding the top decided label must clash into
         the undecided state — never be treated as undecided and adopt
         a decided opinion directly."""
-        from repro.engine import AgentEngine
+        from repro.engine import BatchAgentEngine
         from repro.graphs.generators import random_regular
 
         n = 200
         graph = random_regular(n, 8, seed=1, self_loops=True)
         opinions = np.asarray([0, 1] * (n // 2), dtype=np.int64)
-        engine = AgentEngine(
+        engine = BatchAgentEngine(
             UndecidedStateDynamics(),
             graph,
             opinions,
+            num_replicas=1,
             num_opinions=3,  # binds the undecided label to 2
             seed=rng,
         )
         assert engine.dynamics.num_decided == 2
-        new = engine.step()
+        new = engine.step()[0]
         # One synchronous USD step can only keep a decided opinion or
         # clash into undecided; a decided vertex can never jump to the
         # *other* decided opinion in one round.
@@ -459,21 +460,23 @@ class TestUndecided:
             dynamics.bind_opinion_space(5)
 
     def test_agent_engine_inferred_labels_fail_loudly(self, rng):
-        """AgentEngine's label-maximum num_opinions fallback must not
-        silently bind a fully decided start's top label as undecided —
-        the unbound dynamics raises at the first step instead."""
-        from repro.engine import AgentEngine
+        """The graph engine's label-maximum num_opinions fallback must
+        not silently bind a fully decided start's top label as
+        undecided — the unbound dynamics raises as soon as the engine
+        checks the start for consensus."""
+        from repro.engine import BatchAgentEngine
         from repro.errors import ConfigurationError
 
-        engine = AgentEngine(
-            UndecidedStateDynamics(),
-            CompleteGraph(4),
-            np.asarray([0, 1, 0, 1], dtype=np.int64),
-            seed=rng,  # num_opinions omitted on purpose
-        )
-        assert engine.dynamics.num_decided is None
+        dynamics = UndecidedStateDynamics()
         with pytest.raises(ConfigurationError, match="num_decided"):
-            engine.step()
+            BatchAgentEngine(
+                dynamics,
+                CompleteGraph(4),
+                np.asarray([0, 1, 0, 1], dtype=np.int64),
+                num_replicas=1,
+                seed=rng,  # num_opinions omitted on purpose
+            )
+        assert dynamics.num_decided is None
 
     def test_population_matches_expected(self, rng):
         dynamics = UndecidedStateDynamics()

@@ -2,23 +2,15 @@
 
 The acceptance bar for the registry refactor: adding a registry entry is
 the *only* step needed to expose a new engine to specs (validation,
-capability checks) and the dispatcher, and the four built-in engines all
+capability checks) and the dispatcher, and the built-in engines all
 dispatch through it.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.configs import balanced
-from repro.core import ThreeMajority
 from repro.engine import (
-    AgentEngine,
-    AsyncBatchPopulationEngine,
-    BatchPopulationEngine,
-    Engine,
-    PopulationEngine,
     RunResult,
     available_engines,
     get_engine,
@@ -26,7 +18,6 @@ from repro.engine import (
     unregister_engine,
 )
 from repro.errors import ConfigurationError
-from repro.graphs.generators import cycle_graph
 from repro.simulation import SimulationSpec, execute
 
 #: Every engine the package registers; each adapter honours on_budget.
@@ -54,7 +45,6 @@ class TestRegistryContents:
         assert info.name == "batch"
         assert callable(info.run)
         assert info.supports_target
-        assert not info.supports_observers
         assert info.supports_adversary
 
     def test_unknown_engine_lists_known(self):
@@ -67,7 +57,23 @@ class TestRegistryContents:
         assert get_engine("agent").supports_graph
         assert not get_engine("population").supports_graph
         assert not get_engine("async").supports_target
-        assert get_engine("population").supports_observers
+
+    @pytest.mark.parametrize(
+        "alias, engine",
+        [
+            ("population", "batch"),
+            ("agent", "agent-batch"),
+            ("async", "async-batch"),
+        ],
+    )
+    def test_each_chain_name_runs_its_batch_engine(self, alias, engine):
+        aliased, canonical = get_engine(alias), get_engine(engine)
+        assert aliased.run is canonical.run
+        assert "another name for " + engine in aliased.description
+        for flag in ("graph", "target", "adversary"):
+            assert getattr(aliased, f"supports_{flag}") == getattr(
+                canonical, f"supports_{flag}"
+            )
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ConfigurationError, match="already registered"):
@@ -87,7 +93,6 @@ class TestRegistryContents:
             assert not info.supports_target
             assert not info.supports_adversary
             assert not info.supports_graph
-            assert not info.supports_observers
             with pytest.raises(ConfigurationError, match="target"):
                 SimulationSpec(
                     n=100, k=4, engine="bare", target=lambda c: True
@@ -230,7 +235,6 @@ class TestPluggableEngine:
             original.run,
             description="override",
             supports_target=original.supports_target,
-            supports_observers=original.supports_observers,
             supports_adversary=original.supports_adversary,
             replace=True,
         )
@@ -243,30 +247,7 @@ class TestPluggableEngine:
                 description=original.description,
                 supports_graph=original.supports_graph,
                 supports_target=original.supports_target,
-                supports_observers=original.supports_observers,
                 supports_adversary=original.supports_adversary,
                 replace=True,
             )
 
-
-class TestEngineProtocol:
-    def test_step_based_engines_conform(self):
-        counts = balanced(60, 3)
-        engines = [
-            PopulationEngine(ThreeMajority(), counts, seed=0),
-            BatchPopulationEngine(
-                ThreeMajority(), counts, num_replicas=2, seed=0
-            ),
-            AsyncBatchPopulationEngine(
-                ThreeMajority(), counts, num_replicas=1, seed=0
-            ),
-            AgentEngine(
-                ThreeMajority(),
-                cycle_graph(60),
-                np.repeat(np.arange(3), 20),
-                num_opinions=3,
-                seed=0,
-            ),
-        ]
-        for engine in engines:
-            assert isinstance(engine, Engine), type(engine).__name__

@@ -1,4 +1,4 @@
-"""Tests for the engines: population, agent, asynchronous (one row)."""
+"""Tests for a lone chain on each engine: the engines with one row."""
 
 from __future__ import annotations
 
@@ -8,104 +8,120 @@ import pytest
 from repro.configs import balanced, two_block
 from repro.core import ThreeMajority, TwoChoices, Voter
 from repro.engine import (
-    AgentEngine,
     AsyncBatchPopulationEngine,
-    PopulationEngine,
+    BatchAgentEngine,
+    BatchPopulationEngine,
 )
 from repro.errors import ConfigurationError, StateError
 from repro.graphs import CompleteGraph, cycle_graph
 from repro.state import counts_to_agents
 
 
+def _population_chain(dynamics, counts, seed):
+    return BatchPopulationEngine(dynamics, counts, num_replicas=1, seed=seed)
+
+
 class TestPopulationEngine:
+    """A lone chain on the ``population`` engine: ``batch``, one row."""
+
     def test_initial_state(self):
-        engine = PopulationEngine(ThreeMajority(), [10, 20, 30], seed=0)
+        engine = _population_chain(ThreeMajority(), [10, 20, 30], seed=0)
         assert engine.num_vertices == 60
         assert engine.num_opinions == 3
         assert engine.round_index == 0
-        assert engine.alive == 3
-        assert not engine.is_consensus()
-        assert engine.winner() is None
+        assert engine.alive[0] == 3
+        assert not engine.frozen[0]
+        assert engine.results()[0].winner is None
 
     def test_input_not_aliased(self):
         counts = np.asarray([30, 30], dtype=np.int64)
-        engine = PopulationEngine(ThreeMajority(), counts, seed=0)
+        engine = _population_chain(ThreeMajority(), counts, seed=0)
         engine.step()
         assert counts.tolist() == [30, 30]
 
     def test_step_advances_round(self):
-        engine = PopulationEngine(ThreeMajority(), [50, 50], seed=0)
+        engine = _population_chain(ThreeMajority(), [50, 50], seed=0)
         engine.step()
         assert engine.round_index == 1
         assert engine.counts.sum() == 100
 
     def test_run_fixed_rounds(self):
-        engine = PopulationEngine(Voter(), [500, 500], seed=0)
-        engine.run(10)
+        engine = _population_chain(Voter(), [500, 500], seed=0)
+        for _ in range(10):
+            engine.step()
         assert engine.round_index == 10
 
     def test_alpha_and_gamma(self):
-        engine = PopulationEngine(ThreeMajority(), [25, 75], seed=0)
-        assert engine.alpha.tolist() == [0.25, 0.75]
-        assert engine.gamma == pytest.approx(0.0625 + 0.5625)
+        engine = _population_chain(ThreeMajority(), [25, 75], seed=0)
+        assert engine.alpha[0].tolist() == [0.25, 0.75]
+        assert engine.gamma[0] == pytest.approx(0.0625 + 0.5625)
 
     def test_consensus_and_winner(self):
-        engine = PopulationEngine(ThreeMajority(), [0, 7], seed=0)
-        assert engine.is_consensus()
-        assert engine.winner() == 1
+        engine = _population_chain(ThreeMajority(), [0, 7], seed=0)
+        assert engine.all_consensus()
+        assert engine.results()[0].winner == 1
 
     def test_rejects_bad_counts(self):
         with pytest.raises(StateError):
-            PopulationEngine(ThreeMajority(), [-1, 2], seed=0)
+            _population_chain(ThreeMajority(), [-1, 2], seed=0)
 
     def test_deterministic_given_seed(self):
         runs = []
         for _ in range(2):
-            engine = PopulationEngine(
+            engine = _population_chain(
                 ThreeMajority(), balanced(1000, 10), seed=77
             )
-            engine.run(20)
+            for _ in range(20):
+                engine.step()
             runs.append(engine.counts.copy())
         assert np.array_equal(runs[0], runs[1])
 
     def test_reaches_consensus_eventually(self):
-        engine = PopulationEngine(
+        engine = _population_chain(
             ThreeMajority(), balanced(2000, 8), seed=5
         )
-        for _ in range(5000):
-            if engine.is_consensus():
-                break
-            engine.step()
-        assert engine.is_consensus()
+        (result,) = engine.run_until_consensus(5000)
+        assert result.converged
+        assert engine.all_consensus()
 
 
 class TestAgentEngine:
+    """A lone chain on the ``agent`` engine: ``agent-batch``, one row."""
+
     def test_requires_matching_sizes(self):
         with pytest.raises(ConfigurationError, match="vertices"):
-            AgentEngine(
+            BatchAgentEngine(
                 ThreeMajority(),
                 CompleteGraph(5),
                 np.zeros(4, dtype=np.int64),
+                num_replicas=1,
             )
 
     def test_counts_view(self):
         opinions = np.asarray([0, 1, 1, 2], dtype=np.int64)
-        engine = AgentEngine(
-            ThreeMajority(), CompleteGraph(4), opinions, num_opinions=4
+        engine = BatchAgentEngine(
+            ThreeMajority(),
+            CompleteGraph(4),
+            opinions,
+            num_replicas=1,
+            num_opinions=4,
         )
-        assert engine.counts.tolist() == [1, 2, 1, 0]
+        assert engine.counts[0].tolist() == [1, 2, 1, 0]
         assert engine.num_opinions == 4
 
     def test_num_opinions_inferred(self):
         opinions = np.asarray([0, 3], dtype=np.int64)
-        engine = AgentEngine(ThreeMajority(), CompleteGraph(2), opinions)
+        engine = BatchAgentEngine(
+            ThreeMajority(), CompleteGraph(2), opinions, num_replicas=1
+        )
         assert engine.num_opinions == 4
 
     def test_step_and_round(self):
-        engine = AgentEngine(
+        engine = BatchAgentEngine(
             ThreeMajority(),
             CompleteGraph(50),
             counts_to_agents(balanced(50, 5)),
+            num_replicas=1,
             seed=0,
         )
         engine.step()
@@ -115,28 +131,28 @@ class TestAgentEngine:
     def test_consensus_on_cycle(self):
         """Dynamics work on sparse graphs too (slower, but correct)."""
         graph = cycle_graph(30, self_loops=True)
-        engine = AgentEngine(
+        engine = BatchAgentEngine(
             TwoChoices(),
             graph,
             counts_to_agents(np.asarray([15, 15])),
+            num_replicas=1,
             seed=3,
         )
-        for _ in range(20_000):
-            if engine.is_consensus():
-                break
-            engine.step()
-        assert engine.is_consensus()
+        (result,) = engine.run_until_consensus(20_000)
+        assert result.converged
+        assert engine.all_consensus()
 
     def test_gamma_alpha_alive(self):
-        engine = AgentEngine(
+        engine = BatchAgentEngine(
             ThreeMajority(),
             CompleteGraph(4),
             np.asarray([0, 0, 1, 1], dtype=np.int64),
+            num_replicas=1,
             num_opinions=2,
         )
-        assert engine.alive == 2
-        assert engine.gamma == pytest.approx(0.5)
-        assert engine.alpha.tolist() == [0.5, 0.5]
+        assert engine.alive[0] == 2
+        assert engine.gamma[0] == pytest.approx(0.5)
+        assert engine.alpha[0].tolist() == [0.5, 0.5]
 
 
 class TestAsyncChain:
@@ -192,14 +208,11 @@ class TestAsyncChain:
         sync_rounds = []
         async_rounds = []
         for seed in range(3):
-            pop = PopulationEngine(
+            sync = _population_chain(
                 ThreeMajority(), two_block(400, 4, 0.5), seed=seed
             )
-            rounds = 0
-            while not pop.is_consensus():
-                pop.step()
-                rounds += 1
-            sync_rounds.append(rounds)
+            (result,) = sync.run_until_consensus(10_000)
+            sync_rounds.append(result.rounds)
             asy = self._chain(
                 ThreeMajority(), two_block(400, 4, 0.5), seed=seed
             )

@@ -18,22 +18,42 @@ and h-Majority, by hand-computed values for Undecided-State; Voter's is
 strategies of 2-Choices and of the Median rule included — is checked
 against the oracle here.
 
+Off the complete graph the same law holds vertex by vertex: given the
+opinions, vertices update independently and vertex v draws from
+``single_vertex_law(alpha_N(v), x_v)``, where ``alpha_N(v)`` is the
+opinion frequency over v's neighbourhood.  The next count vector is the
+convolution of these per-vertex laws, which checks ``agent_step_batch``
+on sparse graphs, per outcome and per vertex.
+
 The asynchronous chain gets the same treatment from the same laws: one
 tick moves one unit from label i to label j with probability
 ``alpha_i * single_vertex_law(alpha, i)[j]``.  That one-tick law checks
-every ``async_population_step_batch``, and the exact tick transition
-matrix over all compositions of a tiny n gives the law of the consensus
-tick and of the winner, which the asynchronous engine's runs must
-match (a two-sided DKW bound on the tick CDF, 6σ on the winners).
+every ``async_population_step_batch``.
+
+Multi-step laws come from one absorbing-chain helper: the exact
+transition matrix of a one-step law over all compositions of a tiny n
+gives the law of the stopping step and of the leader when the chain
+stops.  The engines' runs must match it (a two-sided DKW bound on the
+stopping-step CDF, 6σ on the leaders): the synchronous chain's consensus
+round on ``batch`` and on ``agent-batch`` over the complete graph, its
+stopping round under each adversary (one round is the dynamics' law,
+then the corruption's), and the asynchronous chain's consensus tick.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 import pytest
 
+from repro.adversary import (
+    RandomCorruption,
+    ReviveWeakest,
+    SupportRunnerUp,
+    near_consensus_target,
+)
 from repro.core import (
     HMajority,
     MedianRule,
@@ -42,8 +62,13 @@ from repro.core import (
     UndecidedStateDynamics,
     Voter,
 )
-from repro.engine import AsyncBatchPopulationEngine
-from repro.graphs import CompleteGraph
+from repro.engine import (
+    AsyncBatchPopulationEngine,
+    BatchAgentEngine,
+    BatchPopulationEngine,
+)
+from repro.graphs import CompleteGraph, cycle_graph
+from repro.graphs.generators import random_regular
 from repro.state import agents_to_counts, counts_to_agents
 
 
@@ -123,15 +148,50 @@ def _next_tick_distribution(dynamics, counts):
     return dist
 
 
-def _consensus_tick_law(dynamics, start, tol=1e-12):
-    """Exact consensus-tick CDF and winner law of the tick chain.
+def _corruption_distribution(adversary, counts):
+    """Exact law of one corruption of ``counts``.
 
-    Builds the tick transition matrix over every composition of
-    ``n = sum(start)`` and pushes the start's mass through it, removing
-    mass as it reaches a consensus state (by the dynamics' own
-    convention).  Returns ``(cdf, winners)``: ``cdf[t]`` is the
-    probability of consensus by tick t, ``winners[j]`` that label j
-    wins.  Mass caught in an absorbing non-consensus state (USD's
+    ``SupportRunnerUp`` and ``ReviveWeakest`` are deterministic, so each
+    state maps through their own ``corrupt``.  ``RandomCorruption`` at
+    F = 1 moves one victim, of label i with probability ``alpha_i``, to
+    a uniformly random label.
+    """
+    if isinstance(adversary, RandomCorruption):
+        assert adversary.budget == 1
+        k = len(counts)
+        dist = {}
+        for old, size in enumerate(counts):
+            for new in range(k):
+                moved = list(counts)
+                moved[old] -= 1
+                moved[new] += 1
+                key = tuple(moved)
+                dist[key] = dist.get(key, 0.0) + size / sum(counts) / k
+        return {key: p for key, p in dist.items() if p > 0.0}
+    corrupted = adversary.corrupt(np.asarray(counts, dtype=np.int64), None)
+    return {tuple(int(c) for c in corrupted): 1.0}
+
+
+def _adversarial_round_distribution(dynamics, adversary, counts):
+    """Exact law of one adversarial round: the dynamics, then the
+    corruption."""
+    dist = {}
+    for mid, p in _next_count_distribution(dynamics, counts).items():
+        for out, q in _corruption_distribution(adversary, mid).items():
+            dist[out] = dist.get(out, 0.0) + p * q
+    return dist
+
+
+def _absorption_law(step_law, stop, start, tol=1e-12):
+    """Exact stopping-step CDF and stop-state leader law of a chain.
+
+    ``step_law(state)`` is the exact law of the next state (a dict), and
+    ``stop(counts)`` the stopping rule.  Builds the transition matrix
+    over every composition of ``n = sum(start)`` and pushes the start's
+    mass through it, removing mass as it reaches a stopping state.
+    Returns ``(cdf, leaders)``: ``cdf[t]`` is the probability of having
+    stopped by step t, ``leaders[j]`` that label j leads the stop
+    state.  Mass caught in an absorbing non-stopping state (USD's
     all-undecided one) is censored: it never reaches the CDF.
     """
     n, k = sum(start), len(start)
@@ -139,28 +199,52 @@ def _consensus_tick_law(dynamics, start, tol=1e-12):
     index = {state: i for i, state in enumerate(states)}
     matrix = np.zeros((len(states), len(states)))
     for state in states:
-        for nxt, p in _next_tick_distribution(dynamics, state).items():
+        for nxt, p in step_law(state).items():
             matrix[index[state], index[nxt]] += p
-    stop = np.asarray(
-        [dynamics.is_consensus_counts(np.asarray(s)) for s in states]
-    )
-    live = ~stop & (np.diag(matrix) < 1.0 - tol)
+    stopped = np.asarray([bool(stop(np.asarray(s))) for s in states])
+    live = ~stopped & (np.diag(matrix) < 1.0 - tol)
     mass = np.zeros(len(states))
     mass[index[tuple(start)]] = 1.0
     absorbed = np.zeros(len(states))
     cdf = []
     while True:
-        absorbed += np.where(stop, mass, 0.0)
-        mass = np.where(stop, 0.0, mass)
+        absorbed += np.where(stopped, mass, 0.0)
+        mass = np.where(stopped, 0.0, mass)
         cdf.append(absorbed.sum())
         if mass[live].sum() < tol:
             break
         mass = mass @ matrix
-    winners = np.zeros(k)
+    leaders = np.zeros(k)
     for state, p in zip(states, absorbed):
         if p > 0.0:
-            winners[int(np.argmax(state))] += p
-    return np.asarray(cdf), winners
+            leaders[int(np.argmax(state))] += p
+    return np.asarray(cdf), leaders
+
+
+def _check_stopping_law(label, results, cdf, leaders, steps):
+    """Runs against an exact absorption law: a two-sided DKW bound on
+    the stopping-step CDF, 6σ on the stop-state leaders.  ``steps(r)``
+    reads a result's stopping step."""
+    runs = len(results)
+    stopped = [r for r in results if r.converged]
+    times = np.asarray([steps(r) for r in stopped], dtype=np.int64)
+    horizon = max(len(cdf), int(times.max(initial=0)) + 1)
+    exact = np.concatenate([cdf, np.full(horizon - len(cdf), cdf[-1])])
+    sampled = np.bincount(times, minlength=horizon).cumsum() / runs
+    gap = np.abs(sampled - exact).max()
+    bound = math.sqrt(math.log(2 / DKW_DELTA) / (2 * runs))
+    assert gap < bound, (
+        f"{label}: stopping-step CDF off the exact chain by {gap:.4f} "
+        f"(DKW bound {bound:.4f})"
+    )
+    led = np.bincount(
+        [int(np.argmax(r.final_counts)) for r in stopped],
+        minlength=len(leaders),
+    ) / runs
+    sigma = np.sqrt(leaders * (1 - leaders) / runs)
+    assert (np.abs(led - leaders) < 6 * sigma + 1e-4).all(), (
+        f"{label}: leader frequencies {led} vs exact {leaders}"
+    )
 
 
 def _sampled_frequencies(step, reps):
@@ -419,29 +503,171 @@ class TestAsyncExactLaws:
     @pytest.mark.parametrize("case", sorted(CONSENSUS_TICK_CASES))
     def test_consensus_tick_law_matches_exact_chain(self, case):
         dynamics, start = CONSENSUS_TICK_CASES[case]
-        cdf, winners = _consensus_tick_law(dynamics, start)
+        cdf, leaders = _absorption_law(
+            functools.partial(_next_tick_distribution, dynamics),
+            dynamics.is_consensus_counts,
+            start,
+        )
         engine = AsyncBatchPopulationEngine(
             dynamics, np.asarray(start), num_replicas=TICK_RUNS, seed=7
         )
         results = engine.run_until_consensus(100 * len(cdf))
-        ticks = np.asarray(
-            [r.metrics["ticks"] for r in results if r.converged],
-            dtype=np.int64,
+        _check_stopping_law(
+            f"{case} async",
+            results,
+            cdf,
+            leaders,
+            lambda r: r.metrics["ticks"],
         )
-        horizon = max(len(cdf), int(ticks.max(initial=0)) + 1)
-        exact = np.concatenate([cdf, np.full(horizon - len(cdf), cdf[-1])])
-        sampled = np.bincount(ticks, minlength=horizon).cumsum() / TICK_RUNS
-        gap = np.abs(sampled - exact).max()
-        bound = math.sqrt(math.log(2 / DKW_DELTA) / (2 * TICK_RUNS))
-        assert gap < bound, (
-            f"{case}: consensus-tick CDF off the exact chain by {gap:.4f} "
-            f"(DKW bound {bound:.4f})"
+
+
+#: Graph-engine consensus-round cases on ``CompleteGraph(4)``: the
+#: vectorised ``agent_step_batch`` dynamics.  The row-loop dynamics stay
+#: off: Undecided-State took 20 s at 4,000 rows there.
+AGENT_CONSENSUS_CASES = ("2-choices", "3-majority", "voter")
+
+#: Adversarial stopping-round cases: 3-Majority at n = 9 from a balanced
+#: three-way start, F = 1, stopping at the near-consensus threshold.
+ADVERSARIAL_START = [3, 3, 3]
+ADVERSARIES = {
+    "random": RandomCorruption,
+    "runner-up": SupportRunnerUp,
+    "revive-weakest": ReviveWeakest,
+}
+
+
+class TestSynchronousStoppingLaws:
+    """Consensus and stopping rounds against the exact absorbing chain,
+    with the consensus-tick cases' dynamics and starts at n = 4."""
+
+    @staticmethod
+    def _round_law(dynamics, start):
+        return _absorption_law(
+            functools.partial(_next_count_distribution, dynamics),
+            dynamics.is_consensus_counts,
+            start,
         )
-        won = np.bincount(
-            [r.winner for r in results if r.winner is not None],
-            minlength=len(start),
-        ) / TICK_RUNS
-        sigma = np.sqrt(winners * (1 - winners) / TICK_RUNS)
-        assert (np.abs(won - winners) < 6 * sigma + 1e-4).all(), (
-            f"{case}: winner frequencies {won} vs exact {winners}"
+
+    @pytest.mark.parametrize("case", sorted(CONSENSUS_TICK_CASES))
+    def test_population_consensus_round_law(self, case):
+        dynamics, start = CONSENSUS_TICK_CASES[case]
+        cdf, leaders = self._round_law(dynamics, start)
+        engine = BatchPopulationEngine(
+            dynamics, np.asarray(start), num_replicas=TICK_RUNS, seed=7
+        )
+        results = engine.run_until_consensus(100 * len(cdf))
+        _check_stopping_law(
+            f"{case} batch", results, cdf, leaders, lambda r: r.rounds
+        )
+
+    @pytest.mark.parametrize("case", AGENT_CONSENSUS_CASES)
+    def test_complete_graph_consensus_round_law(self, case):
+        dynamics, start = CONSENSUS_TICK_CASES[case]
+        cdf, leaders = self._round_law(dynamics, start)
+        engine = BatchAgentEngine(
+            dynamics,
+            CompleteGraph(sum(start)),
+            counts_to_agents(np.asarray(start)),
+            num_replicas=TICK_RUNS,
+            num_opinions=len(start),
+            seed=7,
+        )
+        results = engine.run_until_consensus(100 * len(cdf))
+        _check_stopping_law(
+            f"{case} agent-batch", results, cdf, leaders, lambda r: r.rounds
+        )
+
+    @pytest.mark.parametrize("name", sorted(ADVERSARIES))
+    def test_adversarial_stopping_round_law(self, name):
+        dynamics, adversary = ThreeMajority(), ADVERSARIES[name](1)
+        n = sum(ADVERSARIAL_START)
+        target = near_consensus_target(n, adversary.budget)
+        cdf, leaders = _absorption_law(
+            functools.partial(
+                _adversarial_round_distribution, dynamics, adversary
+            ),
+            target,
+            ADVERSARIAL_START,
+        )
+        engine = BatchPopulationEngine(
+            dynamics,
+            np.asarray(ADVERSARIAL_START),
+            num_replicas=TICK_RUNS,
+            seed=7,
+            adversary=adversary,
+            target=target,
+        )
+        results = engine.run_until_consensus(100 * len(cdf))
+        _check_stopping_law(
+            f"3-majority vs {name}", results, cdf, leaders, lambda r: r.rounds
+        )
+
+
+#: One-step graph cases: a self-looped 3-regular graph (degree 4, the
+#: raw-bit offset path) and a self-looped cycle (degree 3, the
+#: bounded-integer path), with one fixed 3-label start.
+GRAPH_STEP_CASES = {
+    "regular": functools.partial(random_regular, 12, 3, seed=3),
+    "cycle": functools.partial(cycle_graph, 12),
+}
+GRAPH_START = np.asarray([0, 0, 1, 2, 2, 2, 1, 0, 1, 1, 0, 2])
+GRAPH_DYNAMICS = {
+    "2-choices": TwoChoices,
+    "3-majority": ThreeMajority,
+    "voter": Voter,
+}
+
+
+def _next_agent_count_distribution(dynamics, graph, opinions, k):
+    """Exact law of the next count vector on ``graph``, and each
+    vertex's next-opinion law (one row per vertex).
+
+    Vertex v draws from ``single_vertex_law(alpha_N(v), x_v)``, with
+    ``alpha_N(v)`` the opinion frequency over v's adjacency list
+    (multiplicities and self-loop included); vertices are independent,
+    so the count law is the convolution of the per-vertex laws.
+    """
+    indptr, indices = graph.csr_arrays()
+    laws = []
+    dist = {tuple([0] * k): 1.0}
+    for vertex, own in enumerate(opinions):
+        seen = opinions[indices[indptr[vertex] : indptr[vertex + 1]]]
+        alpha = np.bincount(seen, minlength=k) / seen.size
+        law = dynamics.single_vertex_law(alpha, int(own))
+        laws.append(law)
+        new_dist = {}
+        for key, p in dist.items():
+            for label in np.flatnonzero(law > 0.0):
+                moved = list(key)
+                moved[label] += 1
+                moved = tuple(moved)
+                new_dist[moved] = new_dist.get(moved, 0.0) + p * law[label]
+        dist = new_dist
+    return dist, np.asarray(laws)
+
+
+class TestAgentStepOnGraphs:
+    @pytest.mark.parametrize("graph_name", sorted(GRAPH_STEP_CASES))
+    @pytest.mark.parametrize("name", sorted(GRAPH_DYNAMICS))
+    def test_one_step_law_on_sparse_graph(self, name, graph_name, rng):
+        dynamics = GRAPH_DYNAMICS[name]()
+        graph = GRAPH_STEP_CASES[graph_name]()
+        k = int(GRAPH_START.max()) + 1
+        exact, laws = _next_agent_count_distribution(
+            dynamics, graph, GRAPH_START, k
+        )
+        rows = np.tile(GRAPH_START.astype(np.int8), (REPS, 1))
+        new = dynamics.agent_step_batch(rows, graph, rng)
+        counts = np.stack(
+            [(new == label).sum(axis=1) for label in range(k)], axis=1
+        )
+        label = f"{name} on {graph_name}"
+        _compare(exact, _row_frequencies(counts), REPS, label)
+        marginals = np.stack(
+            [(new == j).mean(axis=0) for j in range(k)], axis=1
+        )
+        sigma = np.sqrt(laws * (1 - laws) / REPS)
+        z = np.abs(marginals - laws) / np.maximum(sigma, 1e-12)
+        assert (np.abs(marginals - laws) < 6 * sigma + 1e-4).all(), (
+            f"{label}: per-vertex marginals off by up to {z.max():.1f}σ"
         )

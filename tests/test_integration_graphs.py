@@ -21,7 +21,7 @@ from repro.core import (
     TwoChoices,
     Voter,
 )
-from repro.engine import AgentEngine, run_until_consensus
+from repro.engine import BatchAgentEngine, BatchPopulationEngine
 from repro.graphs import (
     CompleteGraph,
     core_periphery,
@@ -43,6 +43,13 @@ DYNAMICS = [
 ]
 
 
+def _graph_chain(dynamics, graph, opinions, k, seed):
+    """A lone chain on ``graph``: the graph engine with one row."""
+    return BatchAgentEngine(
+        dynamics, graph, opinions, num_replicas=1, num_opinions=k, seed=seed
+    )
+
+
 def _graphs(rng):
     return [
         CompleteGraph(N),
@@ -60,10 +67,8 @@ def test_converges_on_well_connected_graphs(dynamics, rng):
         opinions = counts_to_agents(
             np.asarray([N // 2, N - N // 2]), rng=rng, shuffle=True
         )
-        engine = AgentEngine(
-            dynamics, graph, opinions, num_opinions=2, seed=rng
-        )
-        result = run_until_consensus(engine, max_rounds=budget)
+        engine = _graph_chain(dynamics, graph, opinions, 2, seed=rng)
+        (result,) = engine.run_until_consensus(budget)
         assert result.converged, f"{dynamics.name} stuck on {graph!r}"
         assert result.final_counts.sum() == N
 
@@ -74,9 +79,7 @@ def test_mass_conserved_on_cycle(dynamics, rng):
     opinions = counts_to_agents(
         np.asarray([20, 20, 20]), rng=rng, shuffle=True
     )
-    engine = AgentEngine(
-        dynamics, graph, opinions, num_opinions=3, seed=rng
-    )
+    engine = _graph_chain(dynamics, graph, opinions, 3, seed=rng)
     for _ in range(50):
         engine.step()
         assert engine.counts.sum() == 60
@@ -99,19 +102,17 @@ def test_sbm_metastability_slows_two_choices(rng_factory):
         sbm = stochastic_block_model(
             [half, half], p_in=0.2, p_out=0.002, seed=rng
         )
-        engine = AgentEngine(
-            TwoChoices(), sbm, opinions, num_opinions=2, seed=rng
-        )
-        result = run_until_consensus(engine, max_rounds=budget)
+        engine = _graph_chain(TwoChoices(), sbm, opinions, 2, seed=rng)
+        (result,) = engine.run_until_consensus(budget)
         sbm_times.append(result.rounds if result.converged else budget)
-        complete = AgentEngine(
+        complete = _graph_chain(
             TwoChoices(),
             CompleteGraph(2 * half),
             opinions.copy(),
-            num_opinions=2,
+            2,
             seed=rng_factory(100 + seed),
         )
-        result = run_until_consensus(complete, max_rounds=budget)
+        (result,) = complete.run_until_consensus(budget)
         complete_times.append(
             result.rounds if result.converged else budget
         )
@@ -129,20 +130,20 @@ def test_three_majority_expander_matches_complete_scaling(rng_factory):
             np.full(k, N // k, dtype=np.int64), rng=rng, shuffle=True
         )
         expander = random_regular(N, 12, seed=rng, self_loops=True)
-        engine = AgentEngine(
-            ThreeMajority(), expander, opinions, num_opinions=k, seed=rng
+        engine = _graph_chain(
+            ThreeMajority(), expander, opinions, k, seed=rng
         )
-        result = run_until_consensus(engine, max_rounds=20_000)
+        (result,) = engine.run_until_consensus(20_000)
         assert result.converged
         times["expander"].append(result.rounds)
-        engine = AgentEngine(
+        engine = _graph_chain(
             ThreeMajority(),
             CompleteGraph(N),
             opinions.copy(),
-            num_opinions=k,
+            k,
             seed=rng_factory(50 + seed),
         )
-        result = run_until_consensus(engine, max_rounds=20_000)
+        (result,) = engine.run_until_consensus(20_000)
         assert result.converged
         times["complete"].append(result.rounds)
     ratio = np.median(times["expander"]) / np.median(times["complete"])
@@ -151,18 +152,18 @@ def test_three_majority_expander_matches_complete_scaling(rng_factory):
 
 class TestDegenerateSystems:
     def test_single_opinion_immediate_consensus(self):
-        from repro.engine import PopulationEngine
-
-        engine = PopulationEngine(ThreeMajority(), [7], seed=0)
-        assert engine.is_consensus()
-        result = run_until_consensus(engine, max_rounds=10)
+        engine = BatchPopulationEngine(
+            ThreeMajority(), [7], num_replicas=1, seed=0
+        )
+        assert engine.all_consensus()
+        (result,) = engine.run_until_consensus(10)
         assert result.rounds == 0
 
     def test_two_vertices(self):
-        from repro.engine import PopulationEngine
-
-        engine = PopulationEngine(ThreeMajority(), [1, 1], seed=0)
-        result = run_until_consensus(engine, max_rounds=10_000)
+        engine = BatchPopulationEngine(
+            ThreeMajority(), [1, 1], num_replicas=1, seed=0
+        )
+        (result,) = engine.run_until_consensus(10_000)
         assert result.converged
 
     def test_validated_population_step_catches_bad_dynamics(self, rng):

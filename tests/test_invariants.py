@@ -83,10 +83,7 @@ def test_every_engine_dynamics_pair_passes_all_invariants(
     )
     assert len(trace.snapshots) >= 1
     assert trace.corruptions == []
-    if engine in ("population", "agent"):
-        assert trace.num_replicas == 1
-    else:
-        assert trace.num_replicas == 3
+    assert trace.num_replicas == 3
     if dynamics == "undecided":
         assert trace.undecided_label == trace.num_labels - 1
         assert trace.num_labels == 4  # k decided labels + undecided

@@ -15,24 +15,34 @@ import pytest
 
 from repro.configs import balanced, biased, two_block
 from repro.core import ThreeMajority, TwoChoices
-from repro.engine import (
-    PopulationEngine,
-    TrajectoryRecorder,
-    replicate,
-    run_until_consensus,
-)
+from repro.engine import BatchPopulationEngine, TrajectoryRecorder
+from repro.seeding import spawn_generators
 from repro.theory.quantities import gamma_of_alpha
 from repro.theory.stopping import classify_opinions
 
 N = 4096
 
 
-def _times(dynamics, counts, runs, seed, budget=200_000):
-    def factory(rng):
-        engine = PopulationEngine(dynamics, counts, seed=rng)
-        return run_until_consensus(engine, max_rounds=budget)
+def _chain(dynamics, counts, seed, **kwargs):
+    """A lone population chain: the batch engine with one row."""
+    return BatchPopulationEngine(
+        dynamics, counts, num_replicas=1, seed=seed, **kwargs
+    )
 
-    results = replicate(factory, runs, seed=seed)
+
+def _run(dynamics, counts, seed, budget, **kwargs):
+    (result,) = _chain(dynamics, counts, seed, **kwargs).run_until_consensus(
+        budget
+    )
+    return result
+
+
+def _times(dynamics, counts, runs, seed, budget=200_000):
+    """Consensus rounds of ``runs`` lone chains, one per spawned stream."""
+    results = [
+        _run(dynamics, counts, rng, budget)
+        for rng in spawn_generators(seed, runs)
+    ]
     return np.asarray(
         [r.rounds for r in results if r.converged], dtype=float
     )
@@ -68,10 +78,14 @@ class TestGammaSubmartingale:
     )
     def test_gamma_trends_up_along_run(self, dynamics):
         recorder = TrajectoryRecorder(record_gamma=True)
-        engine = PopulationEngine(dynamics, balanced(N, 64), seed=0)
-        run_until_consensus(
-            engine, max_rounds=100_000, observers=(recorder,)
+        engine = _chain(
+            dynamics,
+            balanced(N, 64),
+            seed=0,
+            record_hook=lambda i, counts, _: recorder.observe(i, counts[0]),
         )
+        recorder.observe(0, engine.counts[0])
+        engine.run_until_consensus(100_000)
         gamma = np.asarray(recorder.gamma)
         # Submartingale + strong drift: no deep collapse, final = 1.
         assert gamma[-1] == pytest.approx(1.0)
@@ -105,10 +119,11 @@ class TestWeakOpinionVanishes:
         died = 0
         runs = 5
         for seed in range(runs):
-            engine = PopulationEngine(dynamics, counts, seed=(9, seed))
-            result = run_until_consensus(
-                engine,
-                max_rounds=window,
+            result = _run(
+                dynamics,
+                counts,
+                (9, seed),
+                window,
                 target=lambda c: c[weak_idx] == 0,
             )
             died += bool(result.converged)
@@ -123,8 +138,7 @@ class TestPluralityConsensus:
         wins = 0
         runs = 10
         for seed in range(runs):
-            engine = PopulationEngine(ThreeMajority(), counts, seed=(3, seed))
-            result = run_until_consensus(engine, max_rounds=50_000)
+            result = _run(ThreeMajority(), counts, (3, seed), 50_000)
             wins += result.converged and result.winner == 0
         assert wins >= 9
 
@@ -132,10 +146,7 @@ class TestPluralityConsensus:
         """Without a margin every opinion wins ~uniformly (validity)."""
         winners = []
         for seed in range(12):
-            engine = PopulationEngine(
-                ThreeMajority(), balanced(N, 4), seed=(4, seed)
-            )
-            result = run_until_consensus(engine, max_rounds=50_000)
+            result = _run(ThreeMajority(), balanced(N, 4), (4, seed), 50_000)
             winners.append(result.winner)
         assert len(set(winners)) >= 2  # not rigged towards one opinion
 

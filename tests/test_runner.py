@@ -1,4 +1,5 @@
-"""Tests for run control: run_until_consensus, replicate, observers."""
+"""Tests for run control on a lone chain: run_until_consensus, the
+spec budget policy, and recording rounds through ``record_hook``."""
 
 from __future__ import annotations
 
@@ -7,99 +8,102 @@ import pytest
 
 from repro.configs import balanced
 from repro.core import ThreeMajority, Voter
-from repro.engine import (
-    FunctionObserver,
-    PopulationEngine,
-    TrajectoryRecorder,
-    replicate,
-    run_until_consensus,
-)
+from repro.engine import BatchPopulationEngine, TrajectoryRecorder
+from repro.engine.batch import engine_from_spec, run_to_budget
 from repro.errors import ConfigurationError, ConsensusNotReached
+from repro.simulation import SimulationSpec
+
+
+def _chain(dynamics, counts, seed=0, **kwargs):
+    return BatchPopulationEngine(
+        dynamics, counts, num_replicas=1, seed=seed, **kwargs
+    )
+
+
+def _recorded_run(recorder, dynamics, counts, max_rounds):
+    """Run a one-row chain with ``recorder`` fed from ``record_hook``."""
+    engine = _chain(
+        dynamics,
+        counts,
+        record_hook=lambda i, rows, _: recorder.observe(i, rows[0]),
+    )
+    recorder.observe(0, engine.counts[0])
+    (result,) = engine.run_until_consensus(max_rounds)
+    return result
 
 
 class TestRunUntilConsensus:
     def test_converges_and_reports(self):
-        engine = PopulationEngine(
-            ThreeMajority(), balanced(1000, 5), seed=0
-        )
-        result = run_until_consensus(engine, max_rounds=5000)
+        engine = _chain(ThreeMajority(), balanced(1000, 5))
+        (result,) = engine.run_until_consensus(5000)
         assert result.converged
         assert result.consensus_time == result.rounds
         assert result.winner in range(5)
         assert result.final_counts.max() == 1000
 
     def test_budget_returns_unconverged(self):
-        engine = PopulationEngine(
-            ThreeMajority(), balanced(10_000, 100), seed=0
-        )
-        result = run_until_consensus(engine, max_rounds=2)
+        engine = _chain(ThreeMajority(), balanced(10_000, 100))
+        (result,) = engine.run_until_consensus(2)
         assert not result.converged
         assert result.consensus_time is None
         assert result.rounds == 2
         assert result.winner is None
 
     def test_budget_raise_mode(self):
-        engine = PopulationEngine(
-            ThreeMajority(), balanced(10_000, 100), seed=0
+        spec = SimulationSpec(
+            n=10_000, k=100, max_rounds=2, on_budget="raise"
         )
         with pytest.raises(ConsensusNotReached):
-            run_until_consensus(engine, max_rounds=2, on_budget="raise")
+            run_to_budget(engine_from_spec(spec), spec)
 
     def test_bad_on_budget(self):
-        engine = PopulationEngine(ThreeMajority(), [5, 5], seed=0)
         with pytest.raises(ConfigurationError):
-            run_until_consensus(engine, 10, on_budget="explode")
+            SimulationSpec(counts=[5, 5], on_budget="explode")
 
     def test_negative_budget(self):
-        engine = PopulationEngine(ThreeMajority(), [5, 5], seed=0)
+        engine = _chain(ThreeMajority(), [5, 5])
         with pytest.raises(ConfigurationError):
-            run_until_consensus(engine, -1)
+            engine.run_until_consensus(-1)
 
     def test_already_at_consensus(self):
-        engine = PopulationEngine(ThreeMajority(), [0, 10], seed=0)
-        result = run_until_consensus(engine, max_rounds=100)
+        engine = _chain(ThreeMajority(), [0, 10])
+        (result,) = engine.run_until_consensus(100)
         assert result.converged
         assert result.rounds == 0
         assert result.winner == 1
 
     def test_custom_target(self):
-        engine = PopulationEngine(
-            ThreeMajority(), balanced(1000, 4), seed=0
-        )
-        result = run_until_consensus(
-            engine,
-            max_rounds=5000,
+        engine = _chain(
+            ThreeMajority(),
+            balanced(1000, 4),
             target=lambda c: c.max() >= 600,
         )
+        (result,) = engine.run_until_consensus(5000)
         assert result.converged
         assert result.final_counts.max() >= 600
 
-    def test_observers_see_every_round(self):
+    def test_record_hook_sees_every_round(self):
         seen = []
-        obs = FunctionObserver(lambda r, c: seen.append(r))
-        engine = PopulationEngine(
-            ThreeMajority(), balanced(500, 4), seed=0
+        engine = _chain(
+            ThreeMajority(),
+            balanced(500, 4),
+            record_hook=lambda i, counts, frozen: seen.append(i),
         )
-        result = run_until_consensus(
-            engine, max_rounds=5000, observers=(obs,)
-        )
-        assert seen == list(range(result.rounds + 1))
+        (result,) = engine.run_until_consensus(5000)
+        assert seen == list(range(1, result.rounds + 1))
 
     def test_final_counts_is_copy(self):
-        engine = PopulationEngine(ThreeMajority(), [0, 10], seed=0)
-        result = run_until_consensus(engine, max_rounds=1)
+        engine = _chain(ThreeMajority(), [0, 10])
+        (result,) = engine.run_until_consensus(1)
         result.final_counts[0] = 99
-        assert engine.counts[0] == 0
+        assert engine.counts[0, 0] == 0
 
 
 class TestTrajectoryRecorder:
     def test_records_gamma_and_alive(self):
         recorder = TrajectoryRecorder()
-        engine = PopulationEngine(
-            ThreeMajority(), balanced(500, 4), seed=0
-        )
-        result = run_until_consensus(
-            engine, max_rounds=5000, observers=(recorder,)
+        result = _recorded_run(
+            recorder, ThreeMajority(), balanced(500, 4), 5000
         )
         arrays = recorder.as_arrays()
         assert arrays["round"].size == result.rounds + 1
@@ -111,53 +115,34 @@ class TestTrajectoryRecorder:
         recorder = TrajectoryRecorder(
             record_max_alpha=True, bias_pair=(0, 1)
         )
-        engine = PopulationEngine(ThreeMajority(), [60, 40], seed=0)
-        run_until_consensus(engine, max_rounds=1, observers=(recorder,))
+        _recorded_run(recorder, ThreeMajority(), [60, 40], 1)
         arrays = recorder.as_arrays()
         assert arrays["bias"][0] == pytest.approx(0.2)
         assert arrays["max_alpha"][0] == pytest.approx(0.6)
 
     def test_snapshots_stride(self):
         recorder = TrajectoryRecorder(counts_stride=2)
-        engine = PopulationEngine(Voter(), balanced(100, 3), seed=0)
+        engine = _chain(Voter(), balanced(100, 3))
         for _ in range(5):
-            recorder.observe(engine.round_index, engine.counts)
+            recorder.observe(engine.round_index, engine.counts[0])
             engine.step()
         rounds = [r for r, _ in recorder.snapshots]
         assert rounds == [0, 2, 4]
 
-
-class TestReplicate:
-    def _factory(self, rng):
-        engine = PopulationEngine(
-            ThreeMajority(), balanced(500, 4), seed=rng
+    def test_snapshots_are_copies_of_the_live_row(self):
+        recorder = TrajectoryRecorder(counts_stride=1)
+        result = _recorded_run(recorder, Voter(), balanced(100, 3), 20)
+        first_round, first_counts = recorder.snapshots[0]
+        assert first_round == 0
+        assert first_counts.tolist() == balanced(100, 3).tolist()
+        assert recorder.snapshots[-1][1].tolist() == (
+            result.final_counts.tolist()
         )
-        return run_until_consensus(engine, max_rounds=5000)
-
-    def test_num_runs(self):
-        results = replicate(self._factory, num_runs=4, seed=0)
-        assert len(results) == 4
-        assert all(r.converged for r in results)
-
-    def test_reproducible(self):
-        a = [r.rounds for r in replicate(self._factory, 3, seed=9)]
-        b = [r.rounds for r in replicate(self._factory, 3, seed=9)]
-        assert a == b
-
-    def test_runs_differ_across_streams(self):
-        results = replicate(self._factory, num_runs=8, seed=0)
-        winners = {r.winner for r in results}
-        times = {r.rounds for r in results}
-        assert len(winners) > 1 or len(times) > 1
-
-    def test_rejects_zero_runs(self):
-        with pytest.raises(ConfigurationError):
-            replicate(self._factory, num_runs=0, seed=0)
 
 
 class TestRunResultMetrics:
     def test_metrics_dict_attachable(self):
-        engine = PopulationEngine(ThreeMajority(), [0, 5], seed=0)
-        result = run_until_consensus(engine, max_rounds=1)
+        engine = _chain(ThreeMajority(), [0, 5])
+        (result,) = engine.run_until_consensus(1)
         result.metrics["note"] = np.asarray([1, 2])
         assert "note" in result.metrics

@@ -8,15 +8,10 @@ import numpy as np
 import pytest
 
 from repro import ResultSet, Simulation, SimulationSpec, SupportRunnerUp
+from repro.adversary import near_consensus_target
 from repro.configs import balanced
 from repro.core import ThreeMajority
-from repro.engine import (
-    PopulationEngine,
-    RunResult,
-    TrajectoryRecorder,
-    replicate,
-    run_until_consensus,
-)
+from repro.engine import RunResult
 from repro.errors import ConfigurationError, ConsensusNotReached
 from repro.graphs.generators import cycle_graph
 from repro.simulation import default_round_budget, execute
@@ -68,32 +63,18 @@ class TestSpecValidation:
                 n=12, k=2, engine="agent", graph=cycle_graph(10)
             )
 
-    def test_async_rejects_target_and_observers(self):
+    def test_async_rejects_target(self):
         with pytest.raises(ConfigurationError, match="target"):
             SimulationSpec(
                 n=100, k=4, engine="async", target=lambda c: True
             )
-        with pytest.raises(ConfigurationError, match="observers"):
-            SimulationSpec(
-                n=100,
-                k=4,
-                engine="async",
-                observer_factory=lambda: (),
-            )
 
-    def test_batch_accepts_target_but_rejects_observers(self):
+    def test_batch_accepts_target(self):
         """Per-row target masking lifted the old batch carve-out."""
         spec = SimulationSpec(
             n=100, k=4, engine="batch", target=lambda c: True
         )
         assert spec.target is not None
-        with pytest.raises(ConfigurationError, match="observers"):
-            SimulationSpec(
-                n=100,
-                k=4,
-                engine="batch",
-                observer_factory=lambda: (),
-            )
 
     def test_counts_derive_and_check_nk(self):
         spec = SimulationSpec(counts=np.asarray([30, 20]))
@@ -327,29 +308,55 @@ class TestBuilder:
 
 
 class TestExecuteEngines:
-    def test_population_matches_legacy_replicate_bitwise(self):
-        """The spec path must reproduce the historical seed streams."""
-        counts = balanced(512, 8)
-        spec = SimulationSpec(
-            dynamics="3-majority",
-            counts=counts,
-            replicas=5,
-            seed=11,
-            max_rounds=10_000,
-        )
-        via_spec = execute(spec)
+    @pytest.mark.parametrize(
+        "alias, engine, graph",
+        [
+            ("population", "batch", None),
+            ("agent", "agent-batch", cycle_graph(24, self_loops=True)),
+        ],
+        ids=["population", "agent-on-cycle"],
+    )
+    @pytest.mark.parametrize(
+        "stopping",
+        [
+            {},
+            {"target": lambda counts: counts.max() >= 18},
+            {
+                "adversary": "runner-up",
+                "adversary_budget": 1,
+                "target": near_consensus_target(24, 1),
+            },
+        ],
+        ids=["consensus", "target", "adversary"],
+    )
+    def test_chain_name_equals_its_batch_engine(
+        self, alias, engine, graph, stopping
+    ):
+        """``population`` and ``agent`` run the batch engines: a seeded
+        spec gives the same results, replica for replica."""
 
-        def legacy(rng):
-            engine = PopulationEngine(ThreeMajority(), counts, seed=rng)
-            return run_until_consensus(engine, max_rounds=10_000)
+        def run(name):
+            return execute(
+                SimulationSpec(
+                    dynamics="3-majority",
+                    n=24,
+                    k=3,
+                    engine=name,
+                    graph=graph,
+                    replicas=6,
+                    seed=13,
+                    max_rounds=400,
+                    **stopping,
+                )
+            )
 
-        via_replicate = replicate(legacy, 5, seed=11)
-        assert [r.rounds for r in via_spec] == [
-            r.rounds for r in via_replicate
-        ]
-        assert [r.winner for r in via_spec] == [
-            r.winner for r in via_replicate
-        ]
+        for a, b in zip(run(alias), run(engine), strict=True):
+            assert (a.converged, a.rounds, a.winner) == (
+                b.converged,
+                b.rounds,
+                b.winner,
+            )
+            assert np.array_equal(a.final_counts, b.final_counts)
 
     def test_batch_engine_runs(self):
         results = (
@@ -392,22 +399,6 @@ class TestExecuteEngines:
             assert r.converged
             assert r.metrics["ticks"] >= r.rounds
             assert r.rounds == int(np.ceil(r.metrics["ticks"] / 300))
-
-    def test_observer_factory_gives_fresh_observers_per_replica(self):
-        results = (
-            Simulation.of("3-majority")
-            .n(200)
-            .k(4)
-            .replicas(3)
-            .observe_with(lambda: (TrajectoryRecorder(),))
-            .seed(0)
-            .run()
-        )
-        recorders = [r.metrics["observers"][0] for r in results]
-        assert len({id(rec) for rec in recorders}) == 3
-        for r, rec in zip(results, recorders):
-            # Initial observation plus one per executed round.
-            assert len(rec.rounds) == r.rounds + 1
 
     def test_on_budget_raise(self):
         spec = SimulationSpec(

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.core import ThreeMajority, TwoChoices
-from repro.engine import PopulationEngine
+from repro.engine import BatchPopulationEngine
 from repro.errors import ConfigurationError
 from repro.theory.ost import (
     bias_drift_floor,
@@ -86,12 +86,12 @@ class TestBiasHittingBound:
         )
         times = []
         for seed in range(10):
-            engine = PopulationEngine(
-                ThreeMajority(), counts, seed=(21, seed)
+            engine = BatchPopulationEngine(
+                ThreeMajority(), counts, num_replicas=1, seed=(21, seed)
             )
             for rounds in range(1, int(bound * 20) + 1):
                 engine.step()
-                a = engine.alpha
+                a = engine.alpha[0]
                 if abs(float(a[0] - a[1])) >= x_delta:
                     times.append(rounds)
                     break
@@ -128,14 +128,15 @@ class TestGammaBounds:
         bound = gamma_hitting_time_bound(n, "3-majority", x_gamma)
         times = []
         for seed in range(5):
-            engine = PopulationEngine(
+            engine = BatchPopulationEngine(
                 ThreeMajority(),
                 np.ones(n, dtype=np.int64),
+                num_replicas=1,
                 seed=(33, seed),
             )
             for rounds in range(1, int(bound) + 1):
                 engine.step()
-                if engine.gamma >= x_gamma:
+                if engine.gamma[0] >= x_gamma:
                     times.append(rounds)
                     break
         assert len(times) == 5

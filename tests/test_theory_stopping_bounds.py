@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.core import ThreeMajority
-from repro.engine import PopulationEngine, run_until_consensus
+from repro.engine import BatchPopulationEngine
 from repro.errors import ConfigurationError
 from repro.theory.bounds import (
     exponent_curve_prior,
@@ -120,12 +120,15 @@ class TestStoppingTimeTracker:
 
     def test_integration_with_engine(self):
         tracker = StoppingTimeTracker(pair=(0, 1), x_gamma=0.9)
-        engine = PopulationEngine(
-            ThreeMajority(), [400, 300, 300], seed=0
+        engine = BatchPopulationEngine(
+            ThreeMajority(),
+            [400, 300, 300],
+            num_replicas=1,
+            seed=0,
+            record_hook=lambda i, counts, _: tracker.observe(i, counts[0]),
         )
-        run_until_consensus(
-            engine, max_rounds=10_000, observers=(tracker,)
-        )
+        tracker.observe(0, engine.counts[0])
+        engine.run_until_consensus(10_000)
         # At consensus one of the pair vanished or gamma hit 0.9.
         assert tracker.first(
             "vanish_i", "vanish_j", "plus_gamma"
