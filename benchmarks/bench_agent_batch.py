@@ -4,8 +4,8 @@ The batched graph engine exists for one reason: R independent replicas
 of a sparse-substrate workload should cost one vectorised hot loop, not
 R per-vertex loops.  This benchmark pins that claim at the headline
 configuration — R = 64 replicas, n = 10^4 vertices, a fixed
-random-regular graph — for the three dynamics with vectorised
-``agent_step_batch`` overrides, and guards the overrides themselves:
+random-regular graph — for every catalogued dynamics (each steps all
+rows in one vectorised ``agent_step_batch``):
 
 * ``test_agent_batch_speedup`` — wall-clock of one R-row
   :class:`~repro.engine.agent_batch.BatchAgentEngine` against a loop of
@@ -15,10 +15,12 @@ random-regular graph — for the three dynamics with vectorised
   budget (Voter needs ~Theta(n) rounds to coalesce at this size, far
   past any sane benchmark budget; fixed-budget stepping mirrors
   ``bench_batch_dynamics``'s pre-consensus rationale and keeps both
-  sides doing identical work).  3-Majority converges quickly, so it is
-  measured to consensus.  Asserts an absolute-seconds bound on the
-  R-row engine per dynamics, with headroom for noisy CI hosts over the
-  0.4-0.7 s they take on a 2-core reference box.
+  sides doing identical work).  3-Majority, Median, Undecided-State
+  and 5-Majority converge quickly, so they are measured to consensus
+  (Undecided-State from the k-opinion start plus an empty undecided
+  slot).  Asserts an absolute-seconds bound on the R-row engine per
+  dynamics, with headroom for noisy CI hosts over what each takes on a
+  2-core reference box (``BENCH_agent_batch.json`` records it).
 The override-presence and no-row-loop guards that used to live here
 are now enforced statically by ``repro lint``'s **no-row-loop** rule
 (``src/repro/lint/rules/vectorization.py``), which checks every
@@ -29,6 +31,7 @@ Run with:  pytest benchmarks/bench_agent_batch.py --benchmark-only
 
 from __future__ import annotations
 
+import functools
 import time
 
 import numpy as np
@@ -36,7 +39,15 @@ import numpy as np
 from conftest import write_bench_json
 from repro.analysis.tables import format_table
 from repro.configs import balanced
-from repro.core import ThreeMajority, TwoChoices, Voter
+from repro.core import (
+    HMajority,
+    MedianRule,
+    ThreeMajority,
+    TwoChoices,
+    UndecidedStateDynamics,
+    Voter,
+    with_undecided_slot,
+)
 from repro.engine import BatchAgentEngine
 from repro.graphs import random_regular
 from repro.seeding import spawn_generators
@@ -54,7 +65,17 @@ CASES = (
     ("voter", Voter, 200, 3.0),
     ("2-choices", TwoChoices, 100, 2.5),
     ("3-majority", ThreeMajority, None, 2.0),
+    ("median", MedianRule, None, 1.0),
+    ("undecided", UndecidedStateDynamics, None, 2.5),
+    ("5-majority", functools.partial(HMajority, 5), None, 6.0),
 )
+
+
+def _start(label):
+    """The balanced k-opinion start; Undecided-State's count vector
+    carries the empty undecided slot as label k."""
+    counts = balanced(N, K)
+    return with_undecided_slot(counts) if label == "undecided" else counts
 
 
 def _graph():
@@ -71,7 +92,7 @@ def _loop_seconds(dynamics, graph, counts, budget) -> float:
             graph,
             counts_to_agents(counts, rng=rng, shuffle=True),
             num_replicas=1,
-            num_opinions=K,
+            num_opinions=counts.size,
             seed=rng,
         ).run_until_consensus(max_rounds)
     return time.perf_counter() - started
@@ -85,7 +106,7 @@ def _batch_seconds(dynamics, graph, counts, budget) -> float:
     )
     started = time.perf_counter()
     engine = BatchAgentEngine(
-        dynamics, graph, opinions, num_opinions=K, seed=rng
+        dynamics, graph, opinions, num_opinions=counts.size, seed=rng
     )
     engine.run_until_consensus(max_rounds)
     return time.perf_counter() - started
@@ -93,11 +114,11 @@ def _batch_seconds(dynamics, graph, counts, budget) -> float:
 
 def _study() -> dict:
     graph = _graph()
-    counts = balanced(N, K)
     rows = []
     speedups: dict[str, float] = {}
     seconds: dict[str, float] = {}
     for label, factory, budget, _bound in CASES:
+        counts = _start(label)
         seq_s = _loop_seconds(factory(), graph, counts, budget)
         batch_s = _batch_seconds(factory(), graph, counts, budget)
         speedup = seq_s / batch_s

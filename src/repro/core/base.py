@@ -17,11 +17,15 @@ three views of the same Markov chain:
     count chain: :meth:`Dynamics.population_step`, the single-vector
     step, is derived from it as the batch step on a one-row matrix.
 
-``agent_step``
+``agent_step_batch``
     The per-vertex transition on an arbitrary
-    :class:`~repro.graphs.base.Graph`.  O(n) per round, but the only
-    option off the complete graph.  On the complete graph it must agree
-    in distribution with ``population_step`` (tests enforce this).
+    :class:`~repro.graphs.base.Graph`, for R independent replicas
+    stored as the rows of an ``(R, n)`` opinion matrix.  O(n) per row
+    and round, but the only option off the complete graph.  On the
+    complete graph it has the law of ``population_step_batch`` (the
+    tests check both against one exact oracle).  It is the only
+    implementation of the graph chain; a lone chain is the one-row
+    matrix ``opinions[None]``.
 
 ``async_population_step_batch``
     One tick of the asynchronous variant ([CMRSS25]) for R replicas
@@ -412,26 +416,16 @@ class Dynamics(abc.ABC):
         counts = np.asarray(counts, dtype=np.int64)
         return self.population_step_batch(counts[None, :], rng)[0]
 
-    def is_consensus_counts(self, counts: np.ndarray) -> bool:
-        """Consensus check for one count vector, per this dynamics.
-
-        The default — one opinion holds the entire mass — is right for
-        every dynamics whose labels are all ordinary opinions.  Dynamics
-        with auxiliary labels override it (with
-        :meth:`consensus_mask_batch`, its row-wise counterpart):
-        Undecided-State only counts a *decided* opinion holding
-        everything.  The engines' run loops consult this, so the label
-        convention travels with the dynamics across every engine.
-        """
-        counts = np.asarray(counts)
-        return bool(counts.max() == counts.sum())
-
     def consensus_mask_batch(self, counts: np.ndarray) -> np.ndarray:
         """Per-row consensus indicator over an ``(R, k)`` count matrix.
 
-        Row-wise counterpart of :meth:`is_consensus_counts`; override
-        the two together so the engines and single-vector callers stop
-        under the same convention.
+        The default — one opinion holds a row's entire mass — is right
+        for every dynamics whose labels are all ordinary opinions.
+        Dynamics with auxiliary labels override it: Undecided-State only
+        counts a *decided* opinion holding everything.  The engines' run
+        loops consult this (one count vector is the one-row matrix
+        ``counts[None]``), so the label convention travels with the
+        dynamics across every engine.
         """
         counts = np.asarray(counts)
         return counts.max(axis=1) == counts.sum(axis=1)
@@ -452,14 +446,6 @@ class Dynamics(abc.ABC):
         """
 
     @abc.abstractmethod
-    def agent_step(
-        self,
-        opinions: np.ndarray,
-        graph: Graph,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        """Sample every vertex's next opinion simultaneously."""
-
     def agent_step_batch(
         self,
         opinions: np.ndarray,
@@ -470,20 +456,17 @@ class Dynamics(abc.ABC):
 
         ``opinions`` is an ``(R, n)`` integer matrix, one replica of
         per-vertex opinions per row, all sharing ``graph``; the result
-        has the same shape and dtype.  The base implementation loops
-        :meth:`agent_step` over rows (correct for any dynamics, no
-        speedup).  The pull-based paper dynamics (3-Majority, 2-Choices,
-        Voter) override it with single-pass vectorised samplers built on
-        :meth:`~repro.graphs.base.Graph.sample_neighbors_batch` and
-        :func:`gather_neighbor_opinions_batch`, which is what makes
+        has the same shape and dtype.  This is the one implementation of
+        each dynamics' graph chain: there is no row-loop fallback, so a
+        dynamics (third-party ones included) must define it.  Every
+        catalogued dynamics chunks its rows with
+        :func:`iter_row_chunks`, draws each chunk's neighbour samples
+        with one :func:`sample_and_gather_neighbor_opinions_batch` call
+        and applies its rule to the ``(samples, rows, n)`` sample
+        planes, which is what makes
         :class:`~repro.engine.agent_batch.BatchAgentEngine` fast
-        (``benchmarks/bench_agent_batch.py`` guards the overrides and
-        tracks the speedups).
+        (``benchmarks/bench_agent_batch.py`` tracks its wall time).
         """
-        opinions = np.asarray(opinions)
-        return np.stack(
-            [self.agent_step(row, graph, rng) for row in opinions]
-        )
 
     def consensus_mask_agents(self, opinions: np.ndarray) -> np.ndarray:
         """Per-row consensus indicator over an ``(R, n)`` opinion matrix.

@@ -39,7 +39,7 @@ within ~1e-13 up to h = 130.  Scratch is ``O(h^3 k)`` per replica row
 and time ``O(h^4 k)``; the README tabulates where that crosses over
 against per-vertex sampling (large ``k``).
 
-The agent-level step and both asynchronous ticks still sample: they
+The agent-level step and the asynchronous tick still sample: they
 draw each updating vertex's ``h`` neighbours and take their plurality,
 which costs far less per vertex than evaluating the law.
 """
@@ -56,6 +56,7 @@ from repro.core.base import (
     Dynamics,
     batch_multinomial_counts,
     iter_row_chunks,
+    sample_and_gather_neighbor_opinions_batch,
     sample_holders_batch,
 )
 from repro.graphs.base import Graph
@@ -333,14 +334,36 @@ class HMajority(Dynamics):
         law = self.law_batch(counts / totals[:, None])
         return batch_multinomial_counts(totals, law, rng, self.name)
 
-    def agent_step(
+    def agent_step_batch(
         self,
         opinions: np.ndarray,
         graph: Graph,
         rng: np.random.Generator,
     ) -> np.ndarray:
-        samples = opinions[graph.sample_neighbors(rng, self.h)]
-        return majority_winners(samples, rng)
+        """All R replicas: batched ``h``-sample, then one plurality pass.
+
+        The ``(h, rows, n)`` sample planes are turned vertex-major —
+        one row of ``h`` samples per vertex — for
+        :func:`majority_winners`, and the winners reshaped back to
+        ``(rows, n)``.  Rows are chunked under ``batch_element_budget``
+        like the other batched agent steps (the ``h n`` per-row index
+        scratch is the dominant term).
+        """
+        opinions = np.ascontiguousarray(opinions)
+        num_rows, n = opinions.shape
+        h = self.h
+        out = np.empty_like(opinions)
+        for start, stop in iter_row_chunks(
+            num_rows, h * n, self.batch_element_budget
+        ):
+            w = sample_and_gather_neighbor_opinions_batch(
+                opinions[start:stop], graph, h, rng
+            )
+            per_vertex = np.moveaxis(w, 0, -1).reshape(-1, h)
+            out[start:stop] = majority_winners(per_vertex, rng).reshape(
+                stop - start, n
+            )
+        return out
 
     def async_population_step_batch(
         self, counts: np.ndarray, rng: np.random.Generator

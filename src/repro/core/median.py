@@ -40,6 +40,7 @@ from repro.core.base import (
     Dynamics,
     batch_multinomial_counts,
     iter_row_chunks,
+    sample_and_gather_neighbor_opinions_batch,
     sample_holders_batch,
 )
 from repro.graphs.base import Graph
@@ -62,7 +63,12 @@ TENSOR_STEP_THRESHOLD = 4.0
 def _median_of_three(
     own: np.ndarray, first: np.ndarray, second: np.ndarray
 ) -> np.ndarray:
-    """Vectorised middle value of three integer arrays."""
+    """Vectorised middle value of three integer arrays.
+
+    In a narrow dtype (the graph engine's int8 labels) the sum may wrap,
+    but the median fits the dtype, so ``total - low - high`` is still
+    exact: the identity holds modulo the dtype's range.
+    """
     total = own + first + second
     low = np.minimum(np.minimum(own, first), second)
     high = np.maximum(np.maximum(own, first), second)
@@ -148,16 +154,30 @@ class MedianRule(Dynamics):
         new = _median_of_three(own, first, second)
         return np.bincount(new, minlength=flat.size).reshape(num_rows, k)
 
-    def agent_step(
+    def agent_step_batch(
         self,
         opinions: np.ndarray,
         graph: Graph,
         rng: np.random.Generator,
     ) -> np.ndarray:
-        samples = graph.sample_neighbors(rng, 2)
-        first = opinions[samples[:, 0]]
-        second = opinions[samples[:, 1]]
-        return _median_of_three(opinions, first, second)
+        """All R replicas: batched pair sample, median with own opinion.
+
+        Rows are chunked under ``batch_element_budget`` like the other
+        batched agent steps (the ``(2, rows, n)`` index scratch is the
+        dominant term).
+        """
+        opinions = np.ascontiguousarray(opinions)
+        num_rows, n = opinions.shape
+        out = np.empty_like(opinions)
+        for start, stop in iter_row_chunks(
+            num_rows, 2 * n, self.batch_element_budget
+        ):
+            block = opinions[start:stop]
+            w = sample_and_gather_neighbor_opinions_batch(
+                block, graph, 2, rng
+            )
+            out[start:stop] = _median_of_three(block, w[0], w[1])
+        return out
 
     def single_vertex_law(
         self, alpha: np.ndarray, current_opinion: int

@@ -72,18 +72,6 @@ class ThreeMajority(Dynamics):
         law = alpha * (1.0 + alpha - gamma[:, None])
         return batch_multinomial_counts(totals, law, rng, self.name)
 
-    def agent_step(
-        self,
-        opinions: np.ndarray,
-        graph: Graph,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        samples = graph.sample_neighbors(rng, 3)
-        w1 = opinions[samples[:, 0]]
-        w2 = opinions[samples[:, 1]]
-        w3 = opinions[samples[:, 2]]
-        return np.where(w1 == w2, w1, w3)
-
     def agent_step_batch(
         self,
         opinions: np.ndarray,

@@ -195,17 +195,6 @@ class TwoChoices(Dynamics):
         )
         return counts + moved.reshape(num_rows, k)
 
-    def agent_step(
-        self,
-        opinions: np.ndarray,
-        graph: Graph,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        samples = graph.sample_neighbors(rng, 2)
-        w1 = opinions[samples[:, 0]]
-        w2 = opinions[samples[:, 1]]
-        return np.where(w1 == w2, w1, opinions)
-
     def agent_step_batch(
         self,
         opinions: np.ndarray,

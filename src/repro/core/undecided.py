@@ -39,6 +39,8 @@ from repro.core.base import (
     Dynamics,
     batch_binomial,
     batch_multinomial_counts,
+    iter_row_chunks,
+    sample_and_gather_neighbor_opinions_batch,
     sample_holders_batch,
 )
 from repro.errors import ConfigurationError, StateError
@@ -129,18 +131,13 @@ class UndecidedStateDynamics(Dynamics):
         )
         return new_counts
 
-    def is_consensus_counts(self, counts: np.ndarray) -> bool:
+    def consensus_mask_batch(self, counts: np.ndarray) -> np.ndarray:
         """Consensus means one *decided* opinion holds everything.
 
         The all-undecided configuration is absorbing but is *not*
         consensus under the ``k + 1``-label convention — a run stuck
         there keeps going and surfaces as censored, in every engine.
         """
-        counts = np.asarray(counts)
-        return bool(counts[:-1].max() == counts.sum())
-
-    def consensus_mask_batch(self, counts: np.ndarray) -> np.ndarray:
-        """Row-wise :meth:`is_consensus_counts` for the batch engine."""
         counts = np.asarray(counts)
         return counts[:, :-1].max(axis=1) == counts.sum(axis=1)
 
@@ -167,20 +164,38 @@ class UndecidedStateDynamics(Dynamics):
             "num_opinions through bind_opinion_space)"
         )
 
-    def agent_step(
+    def agent_step_batch(
         self,
         opinions: np.ndarray,
         graph: Graph,
         rng: np.random.Generator,
     ) -> np.ndarray:
+        """All R replicas: one batched neighbour sample, then the rule.
+
+        An undecided vertex adopts the opinion it sees; a decided one
+        keeps its opinion on seeing it or the undecided label and goes
+        undecided otherwise.  Rows are chunked under
+        ``batch_element_budget`` like the other batched agent steps (the
+        ``(rows, n)`` index scratch is the dominant term).
+        """
         undecided = self._undecided_label()
-        seen = opinions[graph.sample_neighbors(rng, 1)[:, 0]]
-        undecided_now = opinions == undecided
-        clash = ~undecided_now & (seen != opinions) & (seen != undecided)
-        result = opinions.copy()
-        result[undecided_now] = seen[undecided_now]
-        result[clash] = undecided
-        return result
+        opinions = np.ascontiguousarray(opinions)
+        num_rows, n = opinions.shape
+        out = np.empty_like(opinions)
+        for start, stop in iter_row_chunks(
+            num_rows, n, self.batch_element_budget
+        ):
+            block = opinions[start:stop]
+            seen = sample_and_gather_neighbor_opinions_batch(
+                block, graph, 1, rng
+            )[0]
+            keep = (seen == block) | (seen == undecided)
+            out[start:stop] = np.where(
+                block == undecided,
+                seen,
+                np.where(keep, block, undecided),
+            )
+        return out
 
     def async_population_step_batch(
         self, counts: np.ndarray, rng: np.random.Generator

@@ -39,14 +39,6 @@ class Voter(Dynamics):
         alpha = counts / totals[:, None]
         return batch_multinomial_counts(totals, alpha, rng, self.name)
 
-    def agent_step(
-        self,
-        opinions: np.ndarray,
-        graph: Graph,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        return opinions[graph.sample_neighbors(rng, 1)[:, 0]]
-
     def agent_step_batch(
         self,
         opinions: np.ndarray,
@@ -59,7 +51,7 @@ class Voter(Dynamics):
         scratch stays under ``batch_element_budget`` elements; chunking
         changes memory, call granularity and raw-stream consumption —
         realisations differ across budgets, the sampled law never does
-        (KS-tested).
+        (a chunked step is checked against the exact one-step law).
         """
         opinions = np.ascontiguousarray(opinions)
         num_rows, n = opinions.shape

@@ -3,13 +3,13 @@
 The per-vertex chain on an arbitrary :class:`~repro.graphs.base.Graph`:
 this engine advances R replicas of per-vertex opinions on one shared
 graph as an ``(R, n)`` integer matrix, stepping every *unfinished*
-replica with a single call to the dynamics' ``agent_step_batch``.  The
-pull-based paper dynamics (3-Majority, 2-Choices, Voter) are fully
-vectorised there — one batched neighbour-sampling pass
+replica with a single call to the dynamics' ``agent_step_batch``.  Every
+catalogued dynamics is fully vectorised there — one batched
+neighbour-sampling pass
 (:meth:`~repro.graphs.base.Graph.sample_neighbors_batch`) plus one
-fused opinion gather per sample plane — while any other dynamics falls
-back to a per-row loop (correct, no speedup).
-``benchmarks/bench_agent_batch.py`` guards the overrides' wall time.
+fused opinion gather per sample plane, then the rule applied to the
+sample planes; there is no row-loop fallback.
+``benchmarks/bench_agent_batch.py`` guards the steps' wall time.
 
 It is the only engine of the graph chain: ``agent-batch`` and ``agent``
 are two registry names of one adapter, and a lone chain is the engine
@@ -107,8 +107,8 @@ class BatchAgentEngine(BatchPopulationEngine):
         convention needs it), defaulted from the labels otherwise.
     dynamics, num_replicas, seed, adversary, target, backend, record_hook:
         As for :class:`~repro.engine.batch.BatchPopulationEngine`.
-        3-Majority, 2-Choices and Voter step fully vectorised; other
-        dynamics fall back to a per-row loop (correct, no speedup).
+        Every catalogued dynamics steps all rows in one vectorised
+        ``agent_step_batch``.
         ``target``, the adversary and ``record_hook`` all see the
         per-replica *count* vectors derived from the opinion matrix —
         the population-level contract every recorder shares.
@@ -224,7 +224,7 @@ class BatchAgentEngine(BatchPopulationEngine):
     def _advance(self, active: np.ndarray) -> np.ndarray:
         """One ``agent_step_batch`` of the active rows.  The base
         ``_store`` keeps the engine's narrow label dtype even when a
-        row-loop fallback dynamics returns widened rows."""
+        third-party dynamics returns widened rows."""
         return self.dynamics.agent_step_batch(
             self._active_rows(active), self.graph, self.rng
         )

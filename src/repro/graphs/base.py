@@ -8,11 +8,10 @@ lets the complete graph (the paper's setting) special-case to a trivially
 vectorised implementation while arbitrary graphs go through a CSR
 adjacency structure.
 
-Two batched views of the same primitive exist: :meth:`Graph.
-sample_neighbors` draws one round of samples for a single replica, and
-:meth:`Graph.sample_neighbors_batch` draws one round for R independent
-replicas sharing the substrate — the sampling backbone of the
-``agent-batch`` engine.  The batched form is sample-major,
+The primitive is :meth:`Graph.sample_neighbors_batch`, which draws one
+round of samples for R independent replicas sharing the substrate — the
+sampling backbone of the ``agent-batch`` engine; one replica is
+``num_replicas=1``.  Its output is sample-major,
 ``(samples_per_vertex, R, n)``, so each sample plane is one contiguous
 matrix (the layout the vectorised ``agent_step_batch`` combiners consume
 without strided access).
@@ -55,38 +54,12 @@ class Graph(abc.ABC):
     """A vertex set plus the neighbour-sampling primitive.
 
     Subclasses must set :attr:`num_vertices` and implement
-    :meth:`sample_neighbors`.
+    :meth:`sample_neighbors_batch`.
     """
 
     num_vertices: int
 
     @abc.abstractmethod
-    def sample_neighbors(
-        self, rng: np.random.Generator, samples_per_vertex: int
-    ) -> np.ndarray:
-        """Sample neighbours for every vertex simultaneously.
-
-        Returns an ``(num_vertices, samples_per_vertex)`` integer array
-        whose row ``v`` holds i.i.d. uniform samples from the neighbourhood
-        of ``v`` (with replacement).
-        """
-
-    def sample_neighbors_of(
-        self,
-        vertices: np.ndarray,
-        rng: np.random.Generator,
-        samples_per_vertex: int,
-    ) -> np.ndarray:
-        """Sample neighbours for a subset of vertices.
-
-        Used by asynchronous schedules where only one (or a few) vertices
-        update per tick.  The default implementation materialises degrees
-        lazily via :meth:`sample_neighbors`; subclasses override it with a
-        direct computation.
-        """
-        full = self.sample_neighbors(rng, samples_per_vertex)
-        return full[np.asarray(vertices)]
-
     def sample_neighbors_batch(
         self,
         rng: np.random.Generator,
@@ -103,21 +76,13 @@ class Graph(abc.ABC):
         contiguous for the vectorised ``agent_step_batch`` combiners.
 
         The returned dtype is any integer type holding a vertex id
-        (subclasses narrow it for cache friendliness); downstream index
-        arithmetic upcasts as needed.  This base implementation loops
-        :meth:`sample_neighbors` over replicas (correct for any graph, no
-        speedup); :class:`AdjacencyGraph` and
-        :class:`~repro.graphs.complete.CompleteGraph` override it with
-        single-pass vectorised samplers.
+        (implementations narrow it for cache friendliness); downstream
+        index arithmetic upcasts as needed.  This is each graph's one
+        neighbour sampler: there is no row-loop fallback, and
+        :class:`AdjacencyGraph` and
+        :class:`~repro.graphs.complete.CompleteGraph` each draw the
+        whole tensor in one vectorised pass.
         """
-        stacked = np.stack(
-            [
-                self.sample_neighbors(rng, samples_per_vertex)
-                for _ in range(num_replicas)
-            ]
-        )
-        # (R, n, s) -> contiguous (s, R, n).
-        return np.ascontiguousarray(stacked.transpose(2, 0, 1))
 
     def csr_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """CSR adjacency export: ``(indptr, indices)``.
@@ -232,30 +197,6 @@ class AdjacencyGraph(Graph):
         np.cumsum(indptr, out=indptr)
         return cls(indptr, dst, name=name)
 
-    def sample_neighbors(
-        self, rng: np.random.Generator, samples_per_vertex: int
-    ) -> np.ndarray:
-        offsets = rng.integers(
-            0,
-            self.degrees[:, None],
-            size=(self.num_vertices, samples_per_vertex),
-        )
-        return self.indices[self.indptr[:-1, None] + offsets]
-
-    def sample_neighbors_of(
-        self,
-        vertices: np.ndarray,
-        rng: np.random.Generator,
-        samples_per_vertex: int,
-    ) -> np.ndarray:
-        vertices = np.asarray(vertices, dtype=np.int64)
-        offsets = rng.integers(
-            0,
-            self.degrees[vertices, None],
-            size=(vertices.size, samples_per_vertex),
-        )
-        return self.indices[self.indptr[vertices, None] + offsets]
-
     def csr_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """The graph's own ``(indptr, indices)`` arrays (no copy)."""
         return self.indptr, self.indices
@@ -307,8 +248,8 @@ class AdjacencyGraph(Graph):
         bounded-integer path and still exactly uniform (masking uniform
         bits is bias-free only because the bound divides the bit-range —
         hence the power-of-two gate).  Other degrees use the scalar-bound
-        Lemire path, still well ahead of the per-vertex-bound draw the
-        sequential sampler needs.
+        Lemire path, still well ahead of the per-vertex-bound draw an
+        irregular graph needs.
         """
         total = int(np.prod(shape))
         if degree & (degree - 1) == 0 and degree <= 1 << 16:
@@ -335,9 +276,9 @@ class AdjacencyGraph(Graph):
         power-of-two degrees, raw-bit-masked) call and resolve them
         through the CSR arrays with bounds-check-free ``np.take`` — the
         positions are in range by construction (``offset < degree`` and
-        ``indptr[v] + degree <= indptr[v + 1]``).  Irregular graphs fall
-        back to numpy's per-vertex-bound draw, which is exactly the
-        sequential sampler broadcast over replicas.
+        ``indptr[v] + degree <= indptr[v + 1]``).  Irregular graphs use
+        numpy's per-vertex-bound draw, each vertex's degree broadcast
+        over the sample and replica axes.
         """
         shape = (samples_per_vertex, num_replicas, self.num_vertices)
         indices, degree = self._batch_sampling_tables()

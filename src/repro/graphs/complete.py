@@ -46,33 +46,6 @@ class CompleteGraph(Graph):
     def is_complete_with_self_loops(self) -> bool:
         return self.self_loops
 
-    def sample_neighbors(
-        self, rng: np.random.Generator, samples_per_vertex: int
-    ) -> np.ndarray:
-        n = self.num_vertices
-        if self.self_loops:
-            return rng.integers(0, n, size=(n, samples_per_vertex))
-        # Uniform over the other n-1 vertices: sample in [0, n-1) and shift
-        # values >= own index up by one, which skips exactly "self".
-        draws = rng.integers(0, n - 1, size=(n, samples_per_vertex))
-        own = np.arange(n, dtype=draws.dtype)[:, None]
-        return draws + (draws >= own)
-
-    def sample_neighbors_of(
-        self,
-        vertices: np.ndarray,
-        rng: np.random.Generator,
-        samples_per_vertex: int,
-    ) -> np.ndarray:
-        vertices = np.asarray(vertices, dtype=np.int64)
-        n = self.num_vertices
-        if self.self_loops:
-            return rng.integers(0, n, size=(vertices.size, samples_per_vertex))
-        draws = rng.integers(
-            0, n - 1, size=(vertices.size, samples_per_vertex)
-        )
-        return draws + (draws >= vertices[:, None])
-
     def sample_neighbors_batch(
         self,
         rng: np.random.Generator,
@@ -82,10 +55,10 @@ class CompleteGraph(Graph):
         """One bounded draw covers every replica (see :class:`Graph`).
 
         With self-loops a neighbour sample is a uniform vertex, so the
-        whole ``(s, R, n)`` tensor is a single ``rng.integers`` call; the
-        loop-free variant shifts draws past each vertex's own index,
-        exactly as in :meth:`sample_neighbors`.  Labels are drawn in the
-        narrowest dtype holding a vertex id.
+        whole ``(s, R, n)`` tensor is a single ``rng.integers`` call in
+        the narrowest dtype holding a vertex id.  Without them each
+        vertex draws from ``[0, n - 1)`` and shifts draws at or above
+        its own index up by one, which skips exactly itself.
         """
         n = self.num_vertices
         shape = (samples_per_vertex, num_replicas, n)

@@ -3,23 +3,22 @@
 The ``*_batch`` contract (ROADMAP's batch-first fabric) says a batch
 step advances all R replicas with array operations — a Python
 ``for``/``while`` over the replica axis quietly turns a 30x engine
-into the sequential fallback.  This rule statically checks, for every
+into a row loop.  This rule statically checks, for every
 concrete ``Dynamics`` subclass in ``core/``:
 
-* the vectorized overrides *exist* — ``population_step_batch`` and
-  ``async_population_step_batch`` for every catalogue dynamics, plus
-  ``agent_step_batch`` for the pull-based paper trio — because a
-  deleted override falls back to the base class, which scanning the
-  subclass alone can't see: ``population_step_batch`` is abstract,
+* the vectorized overrides *exist* — ``population_step_batch``,
+  ``async_population_step_batch`` and ``agent_step_batch`` for every
+  catalogue dynamics — because a deleted override falls back to the
+  base class, which scanning the subclass alone can't see:
+  ``population_step_batch`` and ``agent_step_batch`` are abstract and
   ``async_population_step_batch`` raises ``NotImplementedError`` on
-  the first tick and ``agent_step_batch`` is a row loop; and
+  the first tick; and
 * no ``*_batch`` override contains a Python loop, with an explicit
   allowlist for scratch-memory chunk iterators
   (``for start, stop in iter_row_chunks(...)``), which iterate over
   O(budget) chunks, not O(R) rows.
 
-The abstract base class in ``base.py`` keeps its documented
-``agent_step_batch`` row loop: it subclasses ``abc.ABC``, not
+The abstract base class in ``base.py`` subclasses ``abc.ABC``, not
 ``Dynamics``, so it is outside this rule's scope by construction.
 This replaces the runtime row-loop guards previously duplicated across
 three benchmark modules (``bench_batch_dynamics.py`` keeps one as a
@@ -41,11 +40,11 @@ __all__ = ["NoRowLoopRule"]
 _CHUNK_ITERATORS = frozenset({"iter_row_chunks"})
 
 #: Overrides every concrete core dynamics must provide.
-_REQUIRED_OVERRIDES = ("population_step_batch", "async_population_step_batch")
-
-#: The pull-based paper dynamics additionally need the vectorized
-#: agent-level (graph) step; the others run agent-level sequentially.
-_AGENT_BATCH_REQUIRED = frozenset({"ThreeMajority", "TwoChoices", "Voter"})
+_REQUIRED_OVERRIDES = (
+    "population_step_batch",
+    "async_population_step_batch",
+    "agent_step_batch",
+)
 
 
 def _is_dynamics_subclass(node: ast.ClassDef) -> bool:
@@ -94,10 +93,7 @@ class NoRowLoopRule:
             for item in cls.body
             if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
         }
-        required = list(_REQUIRED_OVERRIDES)
-        if cls.name in _AGENT_BATCH_REQUIRED:
-            required.append("agent_step_batch")
-        for name in required:
+        for name in _REQUIRED_OVERRIDES:
             if name not in methods:
                 yield Diagnostic(
                     path=file.relative,
@@ -106,7 +102,7 @@ class NoRowLoopRule:
                     message=(
                         f"{cls.name} does not override {name}; without it "
                         "the batch engines get the base class version, "
-                        "which is abstract, raises or loops over rows"
+                        "which is abstract or raises"
                     ),
                 )
         for name, method in methods.items():

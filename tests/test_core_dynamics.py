@@ -36,7 +36,7 @@ from repro.core import (
 )
 from repro.core.h_majority import majority_winners
 from repro.graphs import CompleteGraph
-from repro.state import agents_to_counts, counts_to_agents
+from repro.state import counts_to_agents
 
 ALL_SIMPLE_DYNAMICS = [
     ThreeMajority(),
@@ -77,14 +77,14 @@ class TestUniversalInvariants:
     def test_agent_step_shape_and_labels(self, dynamics, rng):
         graph = CompleteGraph(40)
         opinions = counts_to_agents(np.asarray([10, 20, 10]))
-        new = dynamics.agent_step(opinions, graph, rng)
+        new = dynamics.agent_step_batch(opinions[None], graph, rng)[0]
         assert new.shape == opinions.shape
         assert set(np.unique(new)) <= {0, 1, 2}
 
     def test_consensus_absorbing_agent(self, dynamics, rng):
         graph = CompleteGraph(30)
         opinions = np.full(30, 2, dtype=np.int64)
-        new = dynamics.agent_step(opinions, graph, rng)
+        new = dynamics.agent_step_batch(opinions[None], graph, rng)[0]
         assert np.all(new == 2)
 
     @given(counts=count_vectors)
@@ -406,7 +406,7 @@ class TestUndecided:
         graph = CompleteGraph(6)
         # All vertices decided 0 except one undecided (label 2).
         opinions = np.asarray([0, 0, 0, 0, 0, 2], dtype=np.int64)
-        new = dynamics.agent_step(opinions, graph, rng)
+        new = dynamics.agent_step_batch(opinions[None], graph, rng)[0]
         # Decided-0 vertices can only stay 0 (they see 0 or undecided).
         assert set(np.unique(new[:5])) <= {0}
 
@@ -419,7 +419,7 @@ class TestUndecided:
         dynamics = UndecidedStateDynamics()
         opinions = np.asarray([0, 1, 0, 1], dtype=np.int64)
         with pytest.raises(ConfigurationError, match="num_decided"):
-            dynamics.agent_step(opinions, CompleteGraph(4), rng)
+            dynamics.agent_step_batch(opinions[None], CompleteGraph(4), rng)
 
     def test_decided_start_on_non_complete_graph(self, rng):
         """Regression: from a fully decided start on a non-complete
@@ -514,19 +514,19 @@ class TestEngineEquivalence:
         counts = np.asarray([500, 300, 200], dtype=np.int64)
         n = int(counts.sum())
         k = counts.size
-        graph = CompleteGraph(n)
-        opinions = counts_to_agents(counts)
         reps = 1200
-        pop_mean = np.zeros(k)
-        agent_mean = np.zeros(k)
         rng_a, rng_b = rng_factory(11), rng_factory(12)
-        for _ in range(reps):
-            pop_mean += dynamics.population_step(counts, rng_a)
-            agent_mean += agents_to_counts(
-                dynamics.agent_step(opinions, graph, rng_b), k
-            )
-        pop_mean /= reps
-        agent_mean /= reps
+        pop_mean = dynamics.population_step_batch(
+            np.tile(counts, (reps, 1)), rng_a
+        ).mean(axis=0)
+        new = dynamics.agent_step_batch(
+            np.tile(counts_to_agents(counts), (reps, 1)),
+            CompleteGraph(n),
+            rng_b,
+        )
+        agent_mean = np.asarray(
+            [(new == label).sum(axis=1).mean() for label in range(k)]
+        )
         # Means should agree within a few standard errors (~ sqrt(n)).
         tolerance = 6 * np.sqrt(n) / np.sqrt(reps) * 3
         assert np.all(np.abs(pop_mean - agent_mean) < tolerance)

@@ -68,8 +68,8 @@ from repro.engine import (
     BatchPopulationEngine,
 )
 from repro.graphs import CompleteGraph, cycle_graph
-from repro.graphs.generators import random_regular
-from repro.state import agents_to_counts, counts_to_agents
+from repro.graphs.generators import erdos_renyi, random_regular
+from repro.state import counts_to_agents
 
 
 def _multinomial_pmf(counts, probabilities):
@@ -221,6 +221,11 @@ def _absorption_law(step_law, stop, start, tol=1e-12):
     return np.asarray(cdf), leaders
 
 
+def _is_consensus(dynamics, counts):
+    """The dynamics' own consensus rule on one count vector."""
+    return bool(dynamics.consensus_mask_batch(counts[None])[0])
+
+
 def _check_stopping_law(label, results, cdf, leaders, steps):
     """Runs against an exact absorption law: a two-sided DKW bound on
     the stopping-step CDF, 6σ on the stop-state leaders.  ``steps(r)``
@@ -262,6 +267,21 @@ def _row_frequencies(rows):
         tuple(int(x) for x in outcome): count / len(rows)
         for outcome, count in zip(outcomes, counts)
     }
+
+
+def _agent_frequencies(dynamics, graph, counts, rng):
+    """Empirical law of the next count vector of REPS agent-level rows,
+    all starting from ``counts``' label blocks, stepped in one call."""
+    opinions = counts_to_agents(np.asarray(counts))
+    new = dynamics.agent_step_batch(np.tile(opinions, (REPS, 1)), graph, rng)
+    return _row_frequencies(_label_counts(new, len(counts)))
+
+
+def _label_counts(opinions, k):
+    """Per-row count vectors of an ``(R, n)`` opinion matrix."""
+    return np.stack(
+        [(opinions == label).sum(axis=1) for label in range(k)], axis=1
+    )
 
 
 def _compare(exact, sampled, reps, label):
@@ -351,14 +371,7 @@ class TestExactLaws:
         counts = [3, 2]
         dynamics = ThreeMajority()
         exact = _next_count_distribution(dynamics, counts)
-        graph = CompleteGraph(5)
-        opinions = counts_to_agents(np.asarray(counts))
-        sampled = _sampled_frequencies(
-            lambda: agents_to_counts(
-                dynamics.agent_step(opinions, graph, rng), 2
-            ),
-            REPS,
-        )
+        sampled = _agent_frequencies(dynamics, CompleteGraph(5), counts, rng)
         _compare(exact, sampled, REPS, "3maj agent")
 
     def test_two_choices_population(self, rng):
@@ -408,14 +421,7 @@ class TestExactLaws:
         counts = [3, 2]
         dynamics = TwoChoices()
         exact = _next_count_distribution(dynamics, counts)
-        graph = CompleteGraph(5)
-        opinions = counts_to_agents(np.asarray(counts))
-        sampled = _sampled_frequencies(
-            lambda: agents_to_counts(
-                dynamics.agent_step(opinions, graph, rng), 2
-            ),
-            REPS,
-        )
+        sampled = _agent_frequencies(dynamics, CompleteGraph(5), counts, rng)
         _compare(exact, sampled, REPS, "2cho agent")
 
     def test_three_opinions_three_majority(self, rng):
@@ -434,14 +440,7 @@ class TestExactLaws:
         dynamics = HMajority(4)
         law = dynamics.single_vertex_law(counts / 5, 0)
         exact = _multinomial_distribution(5, law)
-        graph = CompleteGraph(5)
-        opinions = counts_to_agents(counts)
-        sampled = _sampled_frequencies(
-            lambda: agents_to_counts(
-                dynamics.agent_step(opinions, graph, rng), 3
-            ),
-            REPS,
-        )
+        sampled = _agent_frequencies(dynamics, CompleteGraph(5), counts, rng)
         _compare(exact, sampled, REPS, "4-majority agent")
 
     def test_voter_exact(self, rng):
@@ -505,7 +504,7 @@ class TestAsyncExactLaws:
         dynamics, start = CONSENSUS_TICK_CASES[case]
         cdf, leaders = _absorption_law(
             functools.partial(_next_tick_distribution, dynamics),
-            dynamics.is_consensus_counts,
+            functools.partial(_is_consensus, dynamics),
             start,
         )
         engine = AsyncBatchPopulationEngine(
@@ -520,11 +519,6 @@ class TestAsyncExactLaws:
             lambda r: r.metrics["ticks"],
         )
 
-
-#: Graph-engine consensus-round cases on ``CompleteGraph(4)``: the
-#: vectorised ``agent_step_batch`` dynamics.  The row-loop dynamics stay
-#: off: Undecided-State took 20 s at 4,000 rows there.
-AGENT_CONSENSUS_CASES = ("2-choices", "3-majority", "voter")
 
 #: Adversarial stopping-round cases: 3-Majority at n = 9 from a balanced
 #: three-way start, F = 1, stopping at the near-consensus threshold.
@@ -544,7 +538,7 @@ class TestSynchronousStoppingLaws:
     def _round_law(dynamics, start):
         return _absorption_law(
             functools.partial(_next_count_distribution, dynamics),
-            dynamics.is_consensus_counts,
+            functools.partial(_is_consensus, dynamics),
             start,
         )
 
@@ -560,7 +554,7 @@ class TestSynchronousStoppingLaws:
             f"{case} batch", results, cdf, leaders, lambda r: r.rounds
         )
 
-    @pytest.mark.parametrize("case", AGENT_CONSENSUS_CASES)
+    @pytest.mark.parametrize("case", sorted(CONSENSUS_TICK_CASES))
     def test_complete_graph_consensus_round_law(self, case):
         dynamics, start = CONSENSUS_TICK_CASES[case]
         cdf, leaders = self._round_law(dynamics, start)
@@ -603,17 +597,32 @@ class TestSynchronousStoppingLaws:
         )
 
 
-#: One-step graph cases: a self-looped 3-regular graph (degree 4, the
-#: raw-bit offset path) and a self-looped cycle (degree 3, the
-#: bounded-integer path), with one fixed 3-label start.
+#: One-step graph cases: (graph factory, rows per ``agent_step_batch``
+#: call, None for all REPS rows in one call), with one fixed 3-label
+#: start.  A self-looped 3-regular graph (degree 4, the raw-bit offset
+#: path), a self-looped cycle (degree 3, the bounded-integer path) and
+#: a self-looped G(n, p) graph (degrees 2-8, the per-vertex-bound
+#: path).  The chunked case steps the regular graph 777 rows per call:
+#: 52 calls, each drawing 777 * 12 * s offsets, which is not a whole
+#: number of 8-offset raw words when s is odd.
 GRAPH_STEP_CASES = {
-    "regular": functools.partial(random_regular, 12, 3, seed=3),
-    "cycle": functools.partial(cycle_graph, 12),
+    "regular": (functools.partial(random_regular, 12, 3, seed=3), None),
+    "regular-chunked": (
+        functools.partial(random_regular, 12, 3, seed=3),
+        777,
+    ),
+    "cycle": (functools.partial(cycle_graph, 12), None),
+    "gnp": (functools.partial(erdos_renyi, 12, 0.3, seed=5), None),
 }
 GRAPH_START = np.asarray([0, 0, 1, 2, 2, 2, 1, 0, 1, 1, 0, 2])
+#: Every catalogued dynamics: 4-Majority exercises ties among the
+#: sampled neighbours, and Undecided-State reads label 2 as undecided.
 GRAPH_DYNAMICS = {
     "2-choices": TwoChoices,
     "3-majority": ThreeMajority,
+    "4-majority": functools.partial(HMajority, 4),
+    "median": MedianRule,
+    "undecided": functools.partial(UndecidedStateDynamics, num_decided=2),
     "voter": Voter,
 }
 
@@ -651,18 +660,22 @@ class TestAgentStepOnGraphs:
     @pytest.mark.parametrize("name", sorted(GRAPH_DYNAMICS))
     def test_one_step_law_on_sparse_graph(self, name, graph_name, rng):
         dynamics = GRAPH_DYNAMICS[name]()
-        graph = GRAPH_STEP_CASES[graph_name]()
+        factory, rows_per_call = GRAPH_STEP_CASES[graph_name]
+        graph = factory()
+        if rows_per_call is not None:
+            dynamics.batch_element_budget = (
+                rows_per_call * dynamics.samples_per_round * graph.num_vertices
+            )
         k = int(GRAPH_START.max()) + 1
         exact, laws = _next_agent_count_distribution(
             dynamics, graph, GRAPH_START, k
         )
         rows = np.tile(GRAPH_START.astype(np.int8), (REPS, 1))
         new = dynamics.agent_step_batch(rows, graph, rng)
-        counts = np.stack(
-            [(new == label).sum(axis=1) for label in range(k)], axis=1
-        )
         label = f"{name} on {graph_name}"
-        _compare(exact, _row_frequencies(counts), REPS, label)
+        _compare(
+            exact, _row_frequencies(_label_counts(new, k)), REPS, label
+        )
         marginals = np.stack(
             [(new == j).mean(axis=0) for j in range(k)], axis=1
         )

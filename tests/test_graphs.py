@@ -24,7 +24,7 @@ from repro.graphs import (
 class TestCompleteGraph:
     def test_sample_shape(self, rng):
         graph = CompleteGraph(10)
-        samples = graph.sample_neighbors(rng, 3)
+        samples = graph.sample_neighbors_batch(rng, 3, 1)[:, 0].T
         assert samples.shape == (10, 3)
         assert samples.min() >= 0 and samples.max() < 10
 
@@ -35,28 +35,17 @@ class TestCompleteGraph:
 
     def test_no_self_loops_never_samples_self(self, rng):
         graph = CompleteGraph(6, self_loops=False)
-        samples = graph.sample_neighbors(rng, 200)
+        samples = graph.sample_neighbors_batch(rng, 200, 1)[:, 0].T
         own = np.arange(6)[:, None]
         assert not np.any(samples == own)
 
     def test_no_self_loop_sampling_uniform(self, rng):
         graph = CompleteGraph(4, self_loops=False)
-        samples = graph.sample_neighbors(rng, 30_000)
+        samples = graph.sample_neighbors_batch(rng, 30_000, 1)[:, 0].T
         # Row 0 should hit {1,2,3} each about 10k times.
         histogram = np.bincount(samples[0], minlength=4)
         assert histogram[0] == 0
         assert np.all(np.abs(histogram[1:] - 10_000) < 600)
-
-    def test_sample_neighbors_of(self, rng):
-        graph = CompleteGraph(10)
-        out = graph.sample_neighbors_of(np.asarray([2, 5]), rng, 4)
-        assert out.shape == (2, 4)
-
-    def test_sample_neighbors_of_without_loops(self, rng):
-        graph = CompleteGraph(5, self_loops=False)
-        vertices = np.asarray([1, 3])
-        out = graph.sample_neighbors_of(vertices, rng, 500)
-        assert not np.any(out == vertices[:, None])
 
     def test_rejects_empty(self):
         with pytest.raises(GraphError):
@@ -70,14 +59,14 @@ class TestCompleteGraph:
 class TestAdjacencyGraph:
     def test_from_edges_symmetrises(self, rng):
         graph = AdjacencyGraph.from_edges(3, [[0, 1], [1, 2]])
-        samples = graph.sample_neighbors(rng, 1000)
+        samples = graph.sample_neighbors_batch(rng, 1000, 1)[:, 0].T
         # Vertex 0 only neighbours 1.
         assert set(np.unique(samples[0])) == {1}
         assert set(np.unique(samples[1])) == {0, 2}
 
     def test_self_loops_appended(self, rng):
         graph = AdjacencyGraph.from_edges(2, [[0, 1]], self_loops=True)
-        samples = graph.sample_neighbors(rng, 2000)
+        samples = graph.sample_neighbors_batch(rng, 2000, 1)[:, 0].T
         assert set(np.unique(samples[0])) == {0, 1}
 
     def test_isolated_vertex_rejected(self):
@@ -92,17 +81,12 @@ class TestAdjacencyGraph:
         with pytest.raises(GraphError, match="outside"):
             AdjacencyGraph(np.asarray([0, 1]), np.asarray([5]))
 
-    def test_sample_neighbors_of_matches_degrees(self, rng):
-        graph = cycle_graph(8, self_loops=False)
-        out = graph.sample_neighbors_of(np.asarray([0]), rng, 400)
-        assert set(np.unique(out)) == {1, 7}
-
     def test_multi_edges_weight_sampling(self, rng):
         # Vertex 0 has edges to 1 (twice) and 2 (once): 2/3 vs 1/3.
         graph = AdjacencyGraph.from_edges(
             3, [[0, 1], [0, 1], [0, 2], [1, 2]]
         )
-        samples = graph.sample_neighbors(rng, 30_000)[0]
+        samples = graph.sample_neighbors_batch(rng, 30_000, 1)[:, 0].T[0]
         share = np.mean(samples == 1)
         assert abs(share - 2 / 3) < 0.02
 
@@ -202,13 +186,13 @@ class TestGenerators:
     def test_from_networkx(self, rng):
         graph = from_networkx(nx.path_graph(4), self_loops=False)
         assert graph.num_vertices == 4
-        samples = graph.sample_neighbors(rng, 300)
+        samples = graph.sample_neighbors_batch(rng, 300, 1)[:, 0].T
         assert set(np.unique(samples[0])) == {1}
         assert set(np.unique(samples[1])) == {0, 2}
 
     def test_from_networkx_with_loops(self, rng):
         graph = from_networkx(nx.path_graph(3), self_loops=True)
-        samples = graph.sample_neighbors(rng, 500)
+        samples = graph.sample_neighbors_batch(rng, 500, 1)[:, 0].T
         assert 0 in np.unique(samples[0])
 
     def test_from_networkx_empty(self):

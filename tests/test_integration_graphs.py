@@ -178,7 +178,7 @@ class TestDegenerateSystems:
                 bad[:, 0] += 1  # creates mass from nothing
                 return bad
 
-            def agent_step(self, opinions, graph, rng):
+            def agent_step_batch(self, opinions, graph, rng):
                 return opinions
 
         with pytest.raises(StateError):

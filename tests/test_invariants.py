@@ -11,6 +11,8 @@ registry behaves like the engine/backend/lint registries it mirrors.
 
 from __future__ import annotations
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,12 @@ INVARIANTS = (
 )
 
 
+def _case_seed(engine, name):
+    """A matrix case's seed, fixed by its test id: ``hash`` of a string
+    is salted per process, a CRC is not."""
+    return zlib.crc32(f"{engine}/{name}".encode())
+
+
 def test_matrix_is_exhaustive():
     """The parametrized matrices cover every registered name."""
     assert sorted(ENGINES) == available_engines()
@@ -78,7 +86,7 @@ def test_every_engine_dynamics_pair_passes_all_invariants(
         n=16,
         k=3,
         num_replicas=3,
-        seed=hash((engine, dynamics)) % 2**32,
+        seed=_case_seed(engine, dynamics),
         max_rounds=150,
     )
     assert len(trace.snapshots) >= 1
@@ -124,7 +132,7 @@ def test_every_engine_adversary_pair_passes_all_invariants(
         n=16,
         k=3,
         num_replicas=2,
-        seed=hash((engine, strategy)) % 2**32,
+        seed=_case_seed(engine, strategy),
         adversary=strategy,
         adversary_budget=1,
         max_rounds=80,

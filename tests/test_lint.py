@@ -195,8 +195,12 @@ def test_no_row_loop_flags_loop_and_missing_override(tmp_path):
     assert (
         "core/dyn.py:4: no-row-loop Looped does not override "
         "async_population_step_batch; without it the batch engines get "
-        "the base class version, which is abstract, raises or loops "
-        "over rows"
+        "the base class version, which is abstract or raises"
+    ) in messages
+    assert (
+        "core/dyn.py:4: no-row-loop Looped does not override "
+        "agent_step_batch; without it the batch engines get the base "
+        "class version, which is abstract or raises"
     ) in messages
     assert (
         "core/dyn.py:7: no-row-loop Python for loop in "
@@ -204,15 +208,17 @@ def test_no_row_loop_flags_loop_and_missing_override(tmp_path):
         "over the replica axis (use iter_row_chunks for scratch-memory "
         "chunking)"
     ) in messages
-    assert len(diagnostics) == 2
+    assert len(diagnostics) == 3
 
 
-def test_no_row_loop_requires_agent_batch_for_pull_trio(tmp_path):
+def test_no_row_loop_requires_agent_batch_for_every_dynamics(tmp_path):
+    # Every concrete dynamics needs agent_step_batch, not only the pull
+    # trio: the base class keeps no row loop to fall back on.
     write_tree(
         tmp_path,
         {
-            "core/three_majority.py": """\
-                class ThreeMajority(Dynamics):
+            "core/median.py": """\
+                class MedianRule(Dynamics):
                     def population_step_batch(self, counts, rng):
                         return counts
 
@@ -235,8 +241,8 @@ def test_no_row_loop_allows_chunk_iterators_and_base_class(tmp_path):
 
                 class Dynamics(abc.ABC):
                     def population_step_batch(self, counts, rng):
-                        # Base-class fallback row loop is exempt: the
-                        # class subclasses ABC, not Dynamics.
+                        # A base-class row loop is exempt: the class
+                        # subclasses ABC, not Dynamics.
                         return [self.step(row, rng) for row in counts]
 
 
@@ -248,6 +254,9 @@ def test_no_row_loop_allows_chunk_iterators_and_base_class(tmp_path):
 
                     def async_population_step_batch(self, counts, rng):
                         return counts
+
+                    def agent_step_batch(self, opinions, graph, rng):
+                        return opinions
             """
         },
     )
