@@ -115,25 +115,14 @@ class NumbaBackend:
                 opinions: np.ndarray,
                 num_samples: int,
                 rng: np.random.Generator,
-                out: np.ndarray | None = None,
             ) -> np.ndarray:
                 opinions = np.ascontiguousarray(opinions)
-                if out is None:
-                    out = np.empty(
-                        (num_samples,) + opinions.shape,
-                        dtype=opinions.dtype,
-                    )
+                out = np.empty(
+                    (num_samples,) + opinions.shape, dtype=opinions.dtype
+                )
                 k["csr_sample_gather"](
                     indptr, indices, opinions, _draw_seed(rng), out
                 )
-                return out
-
-            def batch_categorical(
-                probabilities: np.ndarray, rng: np.random.Generator
-            ) -> np.ndarray:
-                p = np.ascontiguousarray(probabilities, dtype=np.float64)
-                out = np.empty(p.shape[0], dtype=np.int64)
-                k["batch_categorical"](p, rng.random(p.shape[0]), out)
                 return out
 
             def sample_holders(
@@ -153,7 +142,6 @@ class NumbaBackend:
             self._wrappers = {
                 "majority_winners": majority_winners,
                 "csr_sample_gather": csr_sample_gather,
-                "batch_categorical": batch_categorical,
                 "sample_holders": sample_holders,
             }
         return self._wrappers[name]

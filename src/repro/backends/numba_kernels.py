@@ -23,10 +23,11 @@ are *exactly* uniform.
 Consequences for determinism: given the same spec seed, the numba and
 numpy backends consume different raw streams, so trajectories agree in
 distribution (KS-equivalence, verified in ``tests/test_backends.py``),
-not bitwise.  The two exceptions are ``sample_holders`` (the bounded
-draws come from the caller's ``Generator`` exactly as in the reference,
-so results are bitwise-identical) and ``batch_categorical`` (same
-single uniform per replica as the reference).
+not bitwise.  The exception is ``sample_holders``: its bounded draws
+come from the caller's ``Generator`` exactly as in the reference, so
+its results are bitwise-identical.  Every asynchronous tick draws its
+vertices through it; of the catalogued rules only h-Majority's draws
+anything more (through ``majority_winners``).
 
 Pure-Python callers note: NumPy emits ``RuntimeWarning`` on wrapping
 ``uint64`` scalar arithmetic; wrap calls in
@@ -45,7 +46,6 @@ KERNEL_NAMES = frozenset(
     {
         "majority_winners",
         "csr_sample_gather",
-        "batch_categorical",
         "sample_holders",
     }
 )
@@ -170,26 +170,6 @@ def build_kernels(njit, prange):
                     out[j, r, v] = opinions[r, indices[base + np.int64(off)]]
 
     @njit(parallel=True)
-    def batch_categorical_kernel(p, u, out):
-        # One categorical draw per row by inverse CDF, renormalising by
-        # the row total exactly like the reference (same single uniform
-        # per row, same first-index-with-cdf>threshold rule).
-        rows, k = p.shape
-        for r in prange(rows):
-            total = 0.0
-            for j in range(k):
-                total += p[r, j]
-            threshold = u[r] * total
-            acc = 0.0
-            choice = k - 1
-            for j in range(k):
-                acc += p[r, j]
-                if acc > threshold:
-                    choice = j
-                    break
-            out[r] = choice
-
-    @njit(parallel=True)
     def sample_holders_kernel(counts, draws, out):
         # Integer-exact inverse CDF over per-row counts.  ``draws``
         # comes from the caller's Generator with per-row bounds, so the
@@ -212,6 +192,5 @@ def build_kernels(njit, prange):
         "_cdf_find": _cdf_find,
         "majority_winners": majority_winners_kernel,
         "csr_sample_gather": csr_sample_gather_kernel,
-        "batch_categorical": batch_categorical_kernel,
         "sample_holders": sample_holders_kernel,
     }

@@ -16,8 +16,8 @@ three pieces of state the engine registry does not need:
 
 ``active_backend()`` / ``use_backend()``
     A :mod:`contextvars`-based ambient backend.  Hot-path dispatch
-    points (``majority_winners``, ``batch_categorical``, the fused CSR
-    sampler, ...) consult :func:`active_backend` at call time, so a
+    points (``majority_winners``, ``sample_holders``, the fused CSR
+    sampler) consult :func:`active_backend` at call time, so a
     single ``with use_backend(...)`` around an engine run threads the
     choice through every kernel without touching call signatures.
     Context-variable scoping makes this safe per-thread *and* per-task:

@@ -11,7 +11,6 @@ from repro.core.base import (
     BATCH_ELEMENT_BUDGET,
     Dynamics,
     batch_binomial,
-    batch_categorical,
     batch_multinomial_counts,
     gather_neighbor_opinions_batch,
     iter_row_chunks,
@@ -38,7 +37,6 @@ __all__ = [
     "Voter",
     "available_dynamics",
     "batch_binomial",
-    "batch_categorical",
     "batch_multinomial_counts",
     "gather_neighbor_opinions_batch",
     "iter_row_chunks",

@@ -1,8 +1,8 @@
 """Dynamics interface.
 
 A *dynamics* (paper Definition 3.1) is the per-round update rule of a
-synchronous consensus process.  Every dynamics in this library implements
-three views of the same Markov chain:
+synchronous consensus process.  Every dynamics in this library states
+two things, and the base class derives everything else from them:
 
 ``population_step_batch``
     The exact count-vector transition on the complete graph with
@@ -17,23 +17,29 @@ three views of the same Markov chain:
     count chain: :meth:`Dynamics.population_step`, the single-vector
     step, is derived from it as the batch step on a one-row matrix.
 
-``agent_step_batch``
-    The per-vertex transition on an arbitrary
-    :class:`~repro.graphs.base.Graph`, for R independent replicas
-    stored as the rows of an ``(R, n)`` opinion matrix.  O(n) per row
-    and round, but the only option off the complete graph.  On the
-    complete graph it has the law of ``population_step_batch`` (the
-    tests check both against one exact oracle).  It is the only
-    implementation of the graph chain; a lone chain is the one-row
-    matrix ``opinions[None]``.
+``vertex_update``
+    The per-vertex rule itself: the next opinions of updating vertices
+    given their own opinions and their ``samples_per_round`` sampled
+    neighbours' opinions, applied element-wise to whole arrays.  The
+    two per-vertex chains are derived from it here, once:
 
-``async_population_step_batch``
-    One tick of the asynchronous variant ([CMRSS25]) for R replicas
-    stored as the rows of an ``(R, k)`` count matrix: in every row a
-    single uniformly random vertex re-samples its opinion.  ``n`` async
-    ticks correspond to one synchronous round.  It is the only
-    implementation of the asynchronous chain; a lone chain is the
-    one-row matrix ``counts[None]``.
+    ``agent_step_batch``
+        The per-vertex transition on an arbitrary
+        :class:`~repro.graphs.base.Graph`, for R independent replicas
+        stored as the rows of an ``(R, n)`` opinion matrix: every
+        vertex samples its neighbours and applies the rule.  O(n) per
+        row and round, but the only option off the complete graph.  On
+        the complete graph it has the law of ``population_step_batch``
+        (the tests check both against one exact oracle).  A lone chain
+        is the one-row matrix ``opinions[None]``.
+
+    ``async_population_step_batch``
+        One tick of the asynchronous variant ([CMRSS25]) for R replicas
+        stored as the rows of an ``(R, k)`` count matrix: in every row a
+        single uniformly random vertex applies the rule to uniformly
+        random vertices' opinions.  ``n`` async ticks correspond to one
+        synchronous round.  A lone chain is the one-row matrix
+        ``counts[None]``.
 
 Subclasses additionally expose ``expected_alpha_next`` so that the theory
 module and tests can check the one-step mean formulas of Lemma 4.1 against
@@ -41,13 +47,13 @@ Monte-Carlo estimates.
 
 Compute backends
 ----------------
-The measured hot loops in this module (``batch_categorical``,
-``sample_holders_batch`` and the fused neighbour sample+gather helper)
-consult :func:`repro.backends.active_backend` for a named kernel before
-running their inline NumPy code.  The inline code *is* the ``numpy``
-backend — the reference implementation every accelerated kernel is
-tested against — so dispatch falls through to it whenever the active
-backend does not accelerate the kernel in question.
+The measured hot loops in this module (``sample_holders_batch`` and the
+fused neighbour sample+gather helper) consult
+:func:`repro.backends.active_backend` for a named kernel before running
+their inline NumPy code.  The inline code *is* the ``numpy`` backend —
+the reference implementation every accelerated kernel is tested
+against — so dispatch falls through to it whenever the active backend
+does not accelerate the kernel in question.
 """
 
 from __future__ import annotations
@@ -65,7 +71,6 @@ __all__ = [
     "BATCH_ELEMENT_BUDGET",
     "Dynamics",
     "batch_binomial",
-    "batch_categorical",
     "batch_multinomial_counts",
     "gather_neighbor_opinions_batch",
     "iter_row_chunks",
@@ -251,50 +256,9 @@ def sample_holders_batch(
     return (cdf[:, None, :] <= u[:, :, None]).sum(axis=2)
 
 
-def batch_categorical(
-    probabilities: np.ndarray,
-    rng: np.random.Generator,
-    dynamics: str = "",
-) -> np.ndarray:
-    """One categorical draw per row of an ``(R, k)`` probability matrix.
-
-    The single-draw counterpart of :func:`batch_multinomial_counts`
-    (same defensive row-sum validation, same error reporting), used by
-    the asynchronous batch steps to sample each replica's updating
-    vertex's *next* opinion from its closed-form law in one vectorised
-    inverse-CDF pass.  Rows are renormalised implicitly: the uniform
-    variate is scaled by the row total, so round-off in the law never
-    biases the draw.
-    """
-    p = np.asarray(probabilities, dtype=np.float64)
-    totals = p.sum(axis=1)
-    bad = ~((totals > 0.999999) & (totals < 1.000001))
-    if bad.any():
-        row = int(np.flatnonzero(bad)[0])
-        raise StateError(
-            f"transition probabilities in replica row {row} sum to "
-            f"{totals[row]!r}, expected 1 (probability matrix shape "
-            f"{p.shape}" + (f", dynamics {dynamics!r})" if dynamics else ")")
-        )
-    kernel = backend_kernel("batch_categorical")
-    if kernel is not None:
-        # Same single uniform per row and the same inverse-CDF rule, so
-        # accelerated and reference draws coincide for a given state.
-        try:
-            return kernel(p, rng)
-        except Exception as exc:
-            quarantine_kernel(active_backend(), "batch_categorical", exc)
-    cdf = np.cumsum(p, axis=1)
-    # rng.random() < 1 strictly, so u < cdf[:, -1] and the index stays
-    # in range without clipping.
-    u = rng.random(p.shape[0]) * cdf[:, -1]
-    return (cdf <= u[:, None]).sum(axis=1)
-
-
 def gather_neighbor_opinions_batch(
     opinions: np.ndarray,
     neighbor_ids: np.ndarray,
-    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Look up sampled neighbours' opinions across R replica rows.
 
@@ -302,11 +266,8 @@ def gather_neighbor_opinions_batch(
     ``neighbor_ids`` a ``(samples, R, n)`` tensor of vertex ids (the
     layout produced by :meth:`repro.graphs.base.Graph.
     sample_neighbors_batch`).  Returns the ``(samples, R, n)`` tensor of
-    the corresponding opinions, in ``opinions``' dtype — the shared
-    gather behind every vectorised ``agent_step_batch``.  ``out``
-    (same shape and dtype) lets single-sample callers like the Voter
-    step land the result directly in their output block instead of
-    paying an extra copy.
+    the corresponding opinions, in ``opinions``' dtype — the gather
+    behind :meth:`Dynamics.agent_step_batch`.
 
     Implementation note: each replica row is offset into the flattened
     opinion matrix and resolved with a single bounds-check-free
@@ -317,9 +278,7 @@ def gather_neighbor_opinions_batch(
     num_rows, n = opinions.shape
     row_base = (np.arange(num_rows, dtype=np.intp) * n)[:, None]
     flat_index = np.add(neighbor_ids, row_base, casting="unsafe")
-    return np.take(
-        opinions.reshape(-1), flat_index, out=out, mode="clip"
-    )
+    return np.take(opinions.reshape(-1), flat_index, mode="clip")
 
 
 def sample_and_gather_neighbor_opinions_batch(
@@ -327,11 +286,10 @@ def sample_and_gather_neighbor_opinions_batch(
     graph: Graph,
     num_samples: int,
     rng: np.random.Generator,
-    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Sampled neighbours' opinions for every vertex of every replica.
 
-    The fused front half of every vectorised ``agent_step_batch``:
+    The fused front half of :meth:`Dynamics.agent_step_batch`:
     equivalent to ``graph.sample_neighbors_batch(rng, num_samples,
     rows)`` followed by :func:`gather_neighbor_opinions_batch`, returning
     the ``(num_samples, rows, n)`` opinion tensor directly.
@@ -354,15 +312,13 @@ def sample_and_gather_neighbor_opinions_batch(
         if tables is not None:
             indptr, indices = tables()
             try:
-                return kernel(
-                    indptr, indices, opinions, num_samples, rng, out
-                )
+                return kernel(indptr, indices, opinions, num_samples, rng)
             except Exception as exc:
                 quarantine_kernel(
                     active_backend(), "csr_sample_gather", exc
                 )
     ids = graph.sample_neighbors_batch(rng, num_samples, opinions.shape[0])
-    return gather_neighbor_opinions_batch(opinions, ids, out=out)
+    return gather_neighbor_opinions_batch(opinions, ids)
 
 
 class Dynamics(abc.ABC):
@@ -431,21 +387,45 @@ class Dynamics(abc.ABC):
         return counts.max(axis=1) == counts.sum(axis=1)
 
     # ------------------------------------------------------------------
-    # Agent-level chain (any graph)
+    # The per-vertex rule, and the two chains derived from it
     # ------------------------------------------------------------------
+    @abc.abstractmethod
+    def vertex_update(
+        self,
+        own: np.ndarray,
+        seen: np.ndarray,
+        rng: np.random.Generator,
+    ) -> np.ndarray:
+        """Next opinions of updating vertices: the dynamics' rule.
+
+        ``own`` holds the updating vertices' current opinions, in any
+        shape.  ``seen`` holds their ``samples_per_round`` sampled
+        neighbours' opinions stacked on a leading axis, so ``seen[j]``
+        has ``own``'s shape.  The result is the vertices' next opinions,
+        in ``own``'s shape.  Each vertex's samples are independent
+        uniform draws from its neighbourhood, so the rule must act on
+        each vertex's own entries only, vectorised over whole arrays.
+
+        This is the one statement of each dynamics' per-vertex rule: a
+        dynamics (third-party ones included) must define it, and
+        :meth:`agent_step_batch` and :meth:`async_population_step_batch`
+        apply it to the graph and asynchronous chains.
+        """
+
     def bind_opinion_space(self, num_opinions: int) -> None:
         """Hook: an engine announces its opinion-space size before running.
 
         Most dynamics need nothing beyond the labels they see and ignore
         this.  Dynamics whose semantics depend on the label layout
         override it — Undecided-State derives its undecided label
-        (``num_opinions - 1``) here, so a fully decided agent start is
+        (``num_opinions - 1``) here, so a fully decided start is
         interpreted correctly.
         :class:`~repro.engine.agent_batch.BatchAgentEngine` calls this
-        at construction when given ``num_opinions``.
+        at construction when given ``num_opinions``, and
+        :class:`~repro.engine.async_batch.AsyncBatchPopulationEngine`
+        with its count vectors' length.
         """
 
-    @abc.abstractmethod
     def agent_step_batch(
         self,
         opinions: np.ndarray,
@@ -456,17 +436,30 @@ class Dynamics(abc.ABC):
 
         ``opinions`` is an ``(R, n)`` integer matrix, one replica of
         per-vertex opinions per row, all sharing ``graph``; the result
-        has the same shape and dtype.  This is the one implementation of
-        each dynamics' graph chain: there is no row-loop fallback, so a
-        dynamics (third-party ones included) must define it.  Every
-        catalogued dynamics chunks its rows with
-        :func:`iter_row_chunks`, draws each chunk's neighbour samples
-        with one :func:`sample_and_gather_neighbor_opinions_batch` call
-        and applies its rule to the ``(samples, rows, n)`` sample
-        planes, which is what makes
-        :class:`~repro.engine.agent_batch.BatchAgentEngine` fast
+        has the same shape and dtype.  Rows are chunked with
+        :func:`iter_row_chunks` so the ``(samples, rows, n)`` neighbour
+        scratch stays under ``batch_element_budget`` elements (chunking
+        changes how the raw stream is consumed, never the sampled law).
+        Each chunk draws every vertex's neighbour samples with one
+        :func:`sample_and_gather_neighbor_opinions_batch` call and
+        applies :meth:`vertex_update` to the sample planes.  This is
+        the one implementation of the graph chain, and the step of
+        :class:`~repro.engine.agent_batch.BatchAgentEngine`
         (``benchmarks/bench_agent_batch.py`` tracks its wall time).
         """
+        opinions = np.ascontiguousarray(opinions)
+        num_rows, n = opinions.shape
+        samples = self.samples_per_round
+        out = np.empty_like(opinions)
+        for start, stop in iter_row_chunks(
+            num_rows, samples * n, self.batch_element_budget
+        ):
+            block = opinions[start:stop]
+            seen = sample_and_gather_neighbor_opinions_batch(
+                block, graph, samples, rng
+            )
+            out[start:stop] = self.vertex_update(block, seen, rng)
+        return out
 
     def consensus_mask_agents(self, opinions: np.ndarray) -> np.ndarray:
         """Per-row consensus indicator over an ``(R, n)`` opinion matrix.
@@ -481,35 +474,30 @@ class Dynamics(abc.ABC):
         opinions = np.asarray(opinions)
         return (opinions == opinions[:, :1]).all(axis=1)
 
-    # ------------------------------------------------------------------
-    # Asynchronous chain (complete graph with self-loops)
-    # ------------------------------------------------------------------
     def async_population_step_batch(
         self, counts: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
         """One asynchronous tick for each of R independent replicas.
 
-        ``counts`` is an ``(R, k)`` int64 matrix, one replica per row;
-        in every row a single uniformly random vertex re-samples its
-        opinion from :meth:`single_vertex_law`.  The matrix is updated
-        in place and returned — the per-tick hot path of
+        ``counts`` is an ``(R, k)`` int64 matrix, one replica per row.
+        In every row, :func:`sample_holders_batch` draws ``1 +
+        samples_per_round`` uniformly random vertices' opinions
+        (integer-exact, so a dead label is never drawn): the first is
+        the updating vertex, the rest are its neighbours on the
+        complete graph with self-loops.  :meth:`vertex_update` gives its
+        next opinion, and one unit moves per row.  The matrix is updated
+        in place and returned.  This is the one implementation of the
+        asynchronous chain, and the per-tick step of
         :class:`~repro.engine.async_batch.AsyncBatchPopulationEngine`.
-
-        This is the one implementation of each dynamics' asynchronous
-        chain, and there is no row-loop fallback: the base class
-        raises, so a dynamics that ticks asynchronously (third-party
-        ones included) must define it.  It is not abstract, so
-        synchronous-only dynamics stay constructible.  Every catalogued
-        dynamics defines it with a vectorised sampler built on
-        :func:`sample_holders_batch` (the updating vertex and any
-        sampled neighbours are integer-exact draws from each row's
-        counts) plus either the combination rule applied label-wise or
-        one :func:`batch_categorical` draw from the closed-form law.
         """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not define "
-            "async_population_step_batch"
-        )
+        counts = np.asarray(counts, dtype=np.int64)
+        draws = sample_holders_batch(counts, 1 + self.samples_per_round, rng)
+        old = draws[:, 0]
+        new = self.vertex_update(old, draws[:, 1:].T, rng)
+        rows = np.arange(counts.shape[0])
+        counts[rows, old] -= 1
+        counts[rows, new] += 1
+        return counts
 
     def single_vertex_law(
         self, alpha: np.ndarray, current_opinion: int

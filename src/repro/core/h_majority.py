@@ -39,9 +39,10 @@ within ~1e-13 up to h = 130.  Scratch is ``O(h^3 k)`` per replica row
 and time ``O(h^4 k)``; the README tabulates where that crosses over
 against per-vertex sampling (large ``k``).
 
-The agent-level step and the asynchronous tick still sample: they
-draw each updating vertex's ``h`` neighbours and take their plurality,
-which costs far less per vertex than evaluating the law.
+The per-vertex rule, :meth:`HMajority.vertex_update`, still samples:
+the graph chain and the asynchronous tick derived from it draw each
+updating vertex's ``h`` neighbours and take their plurality, which
+costs far less per vertex than evaluating the law.
 """
 
 from __future__ import annotations
@@ -56,10 +57,7 @@ from repro.core.base import (
     Dynamics,
     batch_multinomial_counts,
     iter_row_chunks,
-    sample_and_gather_neighbor_opinions_batch,
-    sample_holders_batch,
 )
-from repro.graphs.base import Graph
 
 __all__ = ["HMajority", "majority_winners"]
 
@@ -334,57 +332,21 @@ class HMajority(Dynamics):
         law = self.law_batch(counts / totals[:, None])
         return batch_multinomial_counts(totals, law, rng, self.name)
 
-    def agent_step_batch(
-        self,
-        opinions: np.ndarray,
-        graph: Graph,
-        rng: np.random.Generator,
+    def vertex_update(
+        self, own: np.ndarray, seen: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
-        """All R replicas: batched ``h``-sample, then one plurality pass.
+        """Plurality of the ``h`` samples, ties broken uniformly.
 
-        The ``(h, rows, n)`` sample planes are turned vertex-major —
-        one row of ``h`` samples per vertex — for
-        :func:`majority_winners`, and the winners reshaped back to
-        ``(rows, n)``.  Rows are chunked under ``batch_element_budget``
-        like the other batched agent steps (the ``h n`` per-row index
-        scratch is the dominant term).
+        The ``(h, ...)`` sample planes are viewed vertex-major — one row
+        of ``h`` samples per vertex, the transpose of the flattened
+        planes, which copies nothing — for one :func:`majority_winners`
+        pass, and the winners reshaped back to ``own``'s shape.
+        Sampling one vertex's majority directly is distribution-equal
+        to a draw from :meth:`single_vertex_law` and costs far less per
+        vertex than evaluating the law.
         """
-        opinions = np.ascontiguousarray(opinions)
-        num_rows, n = opinions.shape
-        h = self.h
-        out = np.empty_like(opinions)
-        for start, stop in iter_row_chunks(
-            num_rows, h * n, self.batch_element_budget
-        ):
-            w = sample_and_gather_neighbor_opinions_batch(
-                opinions[start:stop], graph, h, rng
-            )
-            per_vertex = np.moveaxis(w, 0, -1).reshape(-1, h)
-            out[start:stop] = majority_winners(per_vertex, rng).reshape(
-                stop - start, n
-            )
-        return out
-
-    def async_population_step_batch(
-        self, counts: np.ndarray, rng: np.random.Generator
-    ) -> np.ndarray:
-        """One asynchronous tick across all R replica rows at once.
-
-        Per row: the updating vertex's opinion plus its ``h`` neighbour
-        samples (integer-exact draws) reduced by the shared
-        :func:`majority_winners` pass.  Sampling one vertex's majority
-        directly is distribution-equal to a draw from
-        :meth:`single_vertex_law` and costs far less than evaluating the
-        law for every row on every tick.
-        """
-        counts = np.asarray(counts, dtype=np.int64)
-        draws = sample_holders_batch(counts, self.h + 1, rng)
-        old = draws[:, 0]
-        new = majority_winners(draws[:, 1:], rng)
-        rows = np.arange(counts.shape[0])
-        counts[rows, old] -= 1
-        counts[rows, new] += 1
-        return counts
+        per_vertex = seen.reshape(self.h, -1).T
+        return majority_winners(per_vertex, rng).reshape(own.shape)
 
     def single_vertex_law(
         self, alpha: np.ndarray, current_opinion: int

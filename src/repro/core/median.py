@@ -40,10 +40,7 @@ from repro.core.base import (
     Dynamics,
     batch_multinomial_counts,
     iter_row_chunks,
-    sample_and_gather_neighbor_opinions_batch,
-    sample_holders_batch,
 )
-from repro.graphs.base import Graph
 
 __all__ = ["MedianRule"]
 
@@ -154,30 +151,11 @@ class MedianRule(Dynamics):
         new = _median_of_three(own, first, second)
         return np.bincount(new, minlength=flat.size).reshape(num_rows, k)
 
-    def agent_step_batch(
-        self,
-        opinions: np.ndarray,
-        graph: Graph,
-        rng: np.random.Generator,
+    def vertex_update(
+        self, own: np.ndarray, seen: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
-        """All R replicas: batched pair sample, median with own opinion.
-
-        Rows are chunked under ``batch_element_budget`` like the other
-        batched agent steps (the ``(2, rows, n)`` index scratch is the
-        dominant term).
-        """
-        opinions = np.ascontiguousarray(opinions)
-        num_rows, n = opinions.shape
-        out = np.empty_like(opinions)
-        for start, stop in iter_row_chunks(
-            num_rows, 2 * n, self.batch_element_budget
-        ):
-            block = opinions[start:stop]
-            w = sample_and_gather_neighbor_opinions_batch(
-                block, graph, 2, rng
-            )
-            out[start:stop] = _median_of_three(block, w[0], w[1])
-        return out
+        """The median of the own opinion and the two samples."""
+        return _median_of_three(own, seen[0], seen[1])
 
     def single_vertex_law(
         self, alpha: np.ndarray, current_opinion: int
@@ -199,25 +177,6 @@ class MedianRule(Dynamics):
         pmf = np.diff(np.concatenate([[0.0], med_cdf]))
         # Clip tiny negatives from floating-point cancellation.
         return np.clip(pmf, 0.0, None)
-
-    def async_population_step_batch(
-        self, counts: np.ndarray, rng: np.random.Generator
-    ) -> np.ndarray:
-        """One asynchronous tick across all R replica rows at once.
-
-        Per row: the updating vertex's opinion plus two i.i.d.
-        neighbour opinions (three integer-exact draws) combined with the
-        vectorised median-of-three — exactly the law
-        :meth:`single_vertex_law` closes over.
-        """
-        counts = np.asarray(counts, dtype=np.int64)
-        draws = sample_holders_batch(counts, 3, rng)
-        old = draws[:, 0]
-        new = _median_of_three(old, draws[:, 1], draws[:, 2])
-        rows = np.arange(counts.shape[0])
-        counts[rows, old] -= 1
-        counts[rows, new] += 1
-        return counts
 
     def expected_alpha_next(self, alpha: np.ndarray) -> np.ndarray:
         """Exact mean by mixing :meth:`single_vertex_law` over groups."""

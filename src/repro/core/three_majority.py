@@ -25,15 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.base import (
-    Dynamics,
-    batch_categorical,
-    batch_multinomial_counts,
-    iter_row_chunks,
-    sample_and_gather_neighbor_opinions_batch,
-    sample_holders_batch,
-)
-from repro.graphs.base import Graph
+from repro.core.base import Dynamics, batch_multinomial_counts
 
 __all__ = ["ThreeMajority", "three_majority_law"]
 
@@ -72,61 +64,18 @@ class ThreeMajority(Dynamics):
         law = alpha * (1.0 + alpha - gamma[:, None])
         return batch_multinomial_counts(totals, law, rng, self.name)
 
-    def agent_step_batch(
-        self,
-        opinions: np.ndarray,
-        graph: Graph,
-        rng: np.random.Generator,
+    def vertex_update(
+        self, own: np.ndarray, seen: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
-        """All R replicas: batched triple sample, gather, combine.
-
-        The first-two-else-third rule vectorises directly over the
-        ``(3, rows, n)`` sample planes; replica rows are chunked so the
-        dominant ``3 n`` per-row index scratch stays under
-        ``batch_element_budget`` elements (different budgets consume
-        the stream differently, but always sample the same law).
-        """
-        opinions = np.ascontiguousarray(opinions)
-        num_rows, n = opinions.shape
-        out = np.empty_like(opinions)
-        for start, stop in iter_row_chunks(
-            num_rows, 3 * n, self.batch_element_budget
-        ):
-            w = sample_and_gather_neighbor_opinions_batch(
-                opinions[start:stop], graph, 3, rng
-            )
-            out[start:stop] = np.where(w[0] == w[1], w[0], w[2])
-        return out
+        """First-two-else-third: the first two samples' common opinion,
+        else the third sample's."""
+        return np.where(seen[0] == seen[1], seen[0], seen[2])
 
     def single_vertex_law(
         self, alpha: np.ndarray, current_opinion: int
     ) -> np.ndarray:
         # The 3-Majority law does not depend on the current opinion.
         return three_majority_law(alpha)
-
-    def async_population_step_batch(
-        self, counts: np.ndarray, rng: np.random.Generator
-    ) -> np.ndarray:
-        """One asynchronous tick across all R replica rows at once.
-
-        The new opinion is independent of the current one (eq. (5)), so
-        each row needs exactly two draws: the updating vertex's current
-        opinion (integer-exact from the row's counts) and its next
-        opinion (one batched categorical from the row's closed-form
-        law).  Dead opinions keep probability 0, so the full-width law
-        is exact without per-row support tracking.
-        """
-        counts = np.asarray(counts, dtype=np.int64)
-        totals = counts.sum(axis=1)
-        old = sample_holders_batch(counts, 1, rng)[:, 0]
-        alpha = counts / totals[:, None]
-        gamma = np.einsum("rk,rk->r", alpha, alpha)
-        law = alpha * (1.0 + alpha - gamma[:, None])
-        new = batch_categorical(law, rng, self.name)
-        rows = np.arange(counts.shape[0])
-        counts[rows, old] -= 1
-        counts[rows, new] += 1
-        return counts
 
     def expected_alpha_next(self, alpha: np.ndarray) -> np.ndarray:
         """Lemma 4.1(i): ``E[alpha_t(i)] = alpha_i (1 + alpha_i - gamma)``."""

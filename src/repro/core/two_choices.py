@@ -45,14 +45,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.base import (
-    Dynamics,
-    batch_multinomial_counts,
-    iter_row_chunks,
-    sample_and_gather_neighbor_opinions_batch,
-    sample_holders_batch,
-)
-from repro.graphs.base import Graph
+from repro.core.base import Dynamics, batch_multinomial_counts
 
 __all__ = ["TwoChoices", "two_choices_law"]
 
@@ -195,56 +188,16 @@ class TwoChoices(Dynamics):
         )
         return counts + moved.reshape(num_rows, k)
 
-    def agent_step_batch(
-        self,
-        opinions: np.ndarray,
-        graph: Graph,
-        rng: np.random.Generator,
+    def vertex_update(
+        self, own: np.ndarray, seen: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
-        """All R replicas: batched pair sample, keep own on disagreement.
-
-        Rows are chunked under ``batch_element_budget`` like the other
-        batched agent steps (the ``(2, rows, n)`` index scratch is the
-        dominant term); chunking never changes the sampled law, only
-        how the raw stream is consumed.
-        """
-        opinions = np.ascontiguousarray(opinions)
-        num_rows, n = opinions.shape
-        out = np.empty_like(opinions)
-        for start, stop in iter_row_chunks(
-            num_rows, 2 * n, self.batch_element_budget
-        ):
-            block = opinions[start:stop]
-            w = sample_and_gather_neighbor_opinions_batch(
-                block, graph, 2, rng
-            )
-            out[start:stop] = np.where(w[0] == w[1], w[0], block)
-        return out
+        """The pair's common opinion, else the vertex keeps its own."""
+        return np.where(seen[0] == seen[1], seen[0], own)
 
     def single_vertex_law(
         self, alpha: np.ndarray, current_opinion: int
     ) -> np.ndarray:
         return two_choices_law(alpha, current_opinion)
-
-    def async_population_step_batch(
-        self, counts: np.ndarray, rng: np.random.Generator
-    ) -> np.ndarray:
-        """One asynchronous tick across all R replica rows at once.
-
-        Per row: sample the updating vertex's opinion and its two
-        neighbours' (three integer-exact draws) and apply the
-        combination rule directly — adopt the pair's common opinion,
-        else keep the own one.  This samples eq. (6) exactly without
-        materialising the per-row law.
-        """
-        counts = np.asarray(counts, dtype=np.int64)
-        draws = sample_holders_batch(counts, 3, rng)
-        old, w1, w2 = draws[:, 0], draws[:, 1], draws[:, 2]
-        new = np.where(w1 == w2, w1, old)
-        rows = np.arange(counts.shape[0])
-        counts[rows, old] -= 1
-        counts[rows, new] += 1
-        return counts
 
     def expected_alpha_next(self, alpha: np.ndarray) -> np.ndarray:
         """Lemma 4.1(i): identical closed form to 3-Majority.

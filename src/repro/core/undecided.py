@@ -39,12 +39,8 @@ from repro.core.base import (
     Dynamics,
     batch_binomial,
     batch_multinomial_counts,
-    iter_row_chunks,
-    sample_and_gather_neighbor_opinions_batch,
-    sample_holders_batch,
 )
 from repro.errors import ConfigurationError, StateError
-from repro.graphs.base import Graph
 
 __all__ = ["UndecidedStateDynamics", "with_undecided_slot"]
 
@@ -59,13 +55,16 @@ class UndecidedStateDynamics(Dynamics):
     """Synchronous undecided-state dynamics over ``k`` decided opinions.
 
     Count vectors must have length ``k + 1``; agent vectors use label
-    ``k`` (the last one) for the undecided state.  The agent step needs
-    to *know* ``k`` — inferring it from the labels present would mistake
-    the top decided label for the undecided state on any fully decided
-    start — so either construct with ``num_decided=k`` or run through
+    ``k`` (the last one) for the undecided state.  The per-vertex rule
+    (:meth:`vertex_update`, which the graph step and the asynchronous
+    tick apply) needs to *know* ``k`` — inferring it from the labels
+    present would mistake the top decided label for the undecided state
+    on any fully decided start — so either construct with
+    ``num_decided=k`` or run through an engine that binds it via
+    :meth:`bind_opinion_space`:
     :class:`~repro.engine.agent_batch.BatchAgentEngine` with
-    ``num_opinions = k + 1``, which binds it via
-    :meth:`bind_opinion_space`.
+    ``num_opinions = k + 1``, or
+    :class:`~repro.engine.async_batch.AsyncBatchPopulationEngine`.
     """
 
     name = "undecided"
@@ -164,67 +163,22 @@ class UndecidedStateDynamics(Dynamics):
             "num_opinions through bind_opinion_space)"
         )
 
-    def agent_step_batch(
-        self,
-        opinions: np.ndarray,
-        graph: Graph,
-        rng: np.random.Generator,
+    def vertex_update(
+        self, own: np.ndarray, seen: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
-        """All R replicas: one batched neighbour sample, then the rule.
+        """The USD rule on the one sampled opinion.
 
         An undecided vertex adopts the opinion it sees; a decided one
         keeps its opinion on seeing it or the undecided label and goes
-        undecided otherwise.  Rows are chunked under
-        ``batch_element_budget`` like the other batched agent steps (the
-        ``(rows, n)`` index scratch is the dominant term).
+        undecided otherwise.  Raises when the undecided label is not
+        bound (see :meth:`_undecided_label`).
         """
         undecided = self._undecided_label()
-        opinions = np.ascontiguousarray(opinions)
-        num_rows, n = opinions.shape
-        out = np.empty_like(opinions)
-        for start, stop in iter_row_chunks(
-            num_rows, n, self.batch_element_budget
-        ):
-            block = opinions[start:stop]
-            seen = sample_and_gather_neighbor_opinions_batch(
-                block, graph, 1, rng
-            )[0]
-            keep = (seen == block) | (seen == undecided)
-            out[start:stop] = np.where(
-                block == undecided,
-                seen,
-                np.where(keep, block, undecided),
-            )
-        return out
-
-    def async_population_step_batch(
-        self, counts: np.ndarray, rng: np.random.Generator
-    ) -> np.ndarray:
-        """One asynchronous tick across all R replica rows at once.
-
-        Count vectors use the population-level convention (last label =
-        undecided).  Per row: sample the updating vertex's state and one
-        neighbour's (two integer-exact draws) and apply the USD rule —
-        an undecided vertex adopts what it sees; a decided one stays put
-        on seeing its own opinion or an undecided vertex, and goes
-        undecided on any decided clash.  Exactly
-        :meth:`single_vertex_law`, sampled without materialising it.
-        """
-        counts = np.asarray(counts, dtype=np.int64)
-        undecided = counts.shape[1] - 1
-        draws = sample_holders_batch(counts, 2, rng)
-        old, seen = draws[:, 0], draws[:, 1]
-        new = np.where(
-            old == undecided,
-            seen,
-            np.where(
-                (seen == old) | (seen == undecided), old, undecided
-            ),
+        seen = seen[0]
+        keep = (seen == own) | (seen == undecided)
+        return np.where(
+            own == undecided, seen, np.where(keep, own, undecided)
         )
-        rows = np.arange(counts.shape[0])
-        counts[rows, old] -= 1
-        counts[rows, new] += 1
-        return counts
 
     def single_vertex_law(
         self, alpha: np.ndarray, current_opinion: int

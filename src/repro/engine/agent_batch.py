@@ -3,12 +3,12 @@
 The per-vertex chain on an arbitrary :class:`~repro.graphs.base.Graph`:
 this engine advances R replicas of per-vertex opinions on one shared
 graph as an ``(R, n)`` integer matrix, stepping every *unfinished*
-replica with a single call to the dynamics' ``agent_step_batch``.  Every
-catalogued dynamics is fully vectorised there — one batched
-neighbour-sampling pass
+replica with a single call to the dynamics' ``agent_step_batch``.  The
+base class derives that step, once for every dynamics, from the
+dynamics' ``vertex_update``: one batched neighbour-sampling pass
 (:meth:`~repro.graphs.base.Graph.sample_neighbors_batch`) plus one
 fused opinion gather per sample plane, then the rule applied to the
-sample planes; there is no row-loop fallback.
+sample planes; there is no row loop.
 ``benchmarks/bench_agent_batch.py`` guards the steps' wall time.
 
 It is the only engine of the graph chain: ``agent-batch`` and ``agent``
@@ -107,8 +107,8 @@ class BatchAgentEngine(BatchPopulationEngine):
         convention needs it), defaulted from the labels otherwise.
     dynamics, num_replicas, seed, adversary, target, backend, record_hook:
         As for :class:`~repro.engine.batch.BatchPopulationEngine`.
-        Every catalogued dynamics steps all rows in one vectorised
-        ``agent_step_batch``.
+        Every dynamics steps all rows in one vectorised
+        ``agent_step_batch``, derived from its ``vertex_update``.
         ``target``, the adversary and ``record_hook`` all see the
         per-replica *count* vectors derived from the opinion matrix —
         the population-level contract every recorder shares.

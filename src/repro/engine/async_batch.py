@@ -6,8 +6,10 @@ correspond to one synchronous round.  Ticks are inherently sequential
 *in time* — the law changes after every tick — so what vectorises is
 replication: R independent chains advance tick-by-tick in lockstep as
 one ``(R, k)`` count matrix, each tick one call to the dynamics'
-``async_population_step_batch`` on the active rows.  A lone chain is
-the one-row case.  This is the only asynchronous engine: the registry
+``async_population_step_batch`` on the active rows: in every row one
+uniformly random vertex applies the dynamics' ``vertex_update`` to
+uniformly random vertices' opinions.  A lone chain is the one-row
+case.  This is the only asynchronous engine: the registry
 names ``async`` and ``async-batch`` both run it.
 
 Each row is the [CMRSS25] chain: ``tests/test_exact_distributions.py``
@@ -60,12 +62,13 @@ class AsyncBatchPopulationEngine(BatchPopulationEngine):
     Takes the parameters of
     :class:`~repro.engine.batch.BatchPopulationEngine` except
     ``target``.  Each tick is one call to the dynamics'
-    ``async_population_step_batch`` on the active rows; there is no
-    row-loop fallback, so a third-party dynamics must define it (the
-    base class raises ``NotImplementedError`` on the first tick).  A
-    lone chain is ``num_replicas=1``.  The adversary corrupts on every
-    ``n``-th tick, and ``record_hook`` is called per tick with the tick
-    index.
+    ``async_population_step_batch`` on the active rows, which the base
+    class derives from the dynamics' ``vertex_update``, so every
+    dynamics ticks.  The engine announces its number of labels through
+    ``bind_opinion_space`` at construction (Undecided-State reads its
+    undecided label from it).  A lone chain is ``num_replicas=1``.  The
+    adversary corrupts on every ``n``-th tick, and ``record_hook`` is
+    called per tick with the tick index.
 
     Attributes
     ----------
@@ -102,6 +105,7 @@ class AsyncBatchPopulationEngine(BatchPopulationEngine):
             backend=backend,
             record_hook=record_hook,
         )
+        self.dynamics.bind_opinion_space(self.num_opinions)
 
     def _advance(self, active: np.ndarray) -> np.ndarray:
         return self.dynamics.async_population_step_batch(

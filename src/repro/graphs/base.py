@@ -13,8 +13,8 @@ round of samples for R independent replicas sharing the substrate — the
 sampling backbone of the ``agent-batch`` engine; one replica is
 ``num_replicas=1``.  Its output is sample-major,
 ``(samples_per_vertex, R, n)``, so each sample plane is one contiguous
-matrix (the layout the vectorised ``agent_step_batch`` combiners consume
-without strided access).
+matrix (the layout each dynamics' ``vertex_update`` consumes without
+strided access).
 
 Self-loops matter: on the paper's "complete graph with self-loops",
 choosing a random neighbour means choosing a uniformly random vertex
@@ -73,7 +73,7 @@ class Graph(abc.ABC):
         neighbour sample of vertex ``v`` in replica ``r``.  All entries
         are independent — replicas share the substrate, never the
         randomness.  The sample-major layout keeps each sample plane
-        contiguous for the vectorised ``agent_step_batch`` combiners.
+        contiguous for the dynamics' ``vertex_update`` rules.
 
         The returned dtype is any integer type holding a vertex id
         (implementations narrow it for cache friendliness); downstream

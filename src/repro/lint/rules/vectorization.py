@@ -6,15 +6,16 @@ step advances all R replicas with array operations — a Python
 into a row loop.  This rule statically checks, for every
 concrete ``Dynamics`` subclass in ``core/``:
 
-* the vectorized overrides *exist* — ``population_step_batch``,
-  ``async_population_step_batch`` and ``agent_step_batch`` for every
-  catalogue dynamics — because a deleted override falls back to the
-  base class, which scanning the subclass alone can't see:
-  ``population_step_batch`` and ``agent_step_batch`` are abstract and
-  ``async_population_step_batch`` raises ``NotImplementedError`` on
-  the first tick; and
-* no ``*_batch`` override contains a Python loop, with an explicit
-  allowlist for scratch-memory chunk iterators
+* the two methods every dynamics states *exist* —
+  ``population_step_batch`` and ``vertex_update`` — because a missing
+  one falls back to the base class, which scanning the subclass alone
+  can't see: both are abstract there, and the base class derives
+  ``agent_step_batch`` and ``async_population_step_batch`` from
+  ``vertex_update``; and
+* no ``*_batch`` override and no ``vertex_update`` contains a Python
+  loop (``vertex_update`` runs on whole sample planes, every row of
+  every replica at once), with an explicit allowlist for
+  scratch-memory chunk iterators
   (``for start, stop in iter_row_chunks(...)``), which iterate over
   O(budget) chunks, not O(R) rows.
 
@@ -39,12 +40,9 @@ __all__ = ["NoRowLoopRule"]
 #: replica axis to bound scratch memory, they don't serialise it.
 _CHUNK_ITERATORS = frozenset({"iter_row_chunks"})
 
-#: Overrides every concrete core dynamics must provide.
-_REQUIRED_OVERRIDES = (
-    "population_step_batch",
-    "async_population_step_batch",
-    "agent_step_batch",
-)
+#: Overrides every concrete core dynamics must provide; each is also
+#: checked for loops, like every ``*_batch`` method.
+_REQUIRED_OVERRIDES = ("population_step_batch", "vertex_update")
 
 
 def _is_dynamics_subclass(node: ast.ClassDef) -> bool:
@@ -71,9 +69,10 @@ def _is_chunk_iteration(iterator: ast.expr) -> bool:
 class NoRowLoopRule:
     name = "no-row-loop"
     description = (
-        "concrete Dynamics subclasses in core/ must provide their "
-        "*_step_batch overrides and keep them free of Python loops over "
-        "the replica axis (chunk iterators like iter_row_chunks allowed)"
+        "concrete Dynamics subclasses in core/ must define "
+        "population_step_batch and vertex_update and keep them (and "
+        "every *_batch method) free of Python loops over the replica "
+        "axis (chunk iterators like iter_row_chunks allowed)"
     )
     severity = "error"
 
@@ -102,11 +101,11 @@ class NoRowLoopRule:
                     message=(
                         f"{cls.name} does not override {name}; without it "
                         "the batch engines get the base class version, "
-                        "which is abstract or raises"
+                        "which is abstract"
                     ),
                 )
         for name, method in methods.items():
-            if name.endswith("_batch"):
+            if name.endswith("_batch") or name in _REQUIRED_OVERRIDES:
                 yield from self._check_method(file, cls, method)
 
     def _check_method(
@@ -130,8 +129,9 @@ class NoRowLoopRule:
                 rule=self.name,
                 message=(
                     f"Python {kind} loop in {cls.name}.{method.name}; "
-                    "batch methods must vectorize over the replica axis "
-                    "(use iter_row_chunks for scratch-memory chunking)"
+                    "batch methods and vertex_update must vectorize over "
+                    "the replica axis (use iter_row_chunks for "
+                    "scratch-memory chunking)"
                 ),
             )
 

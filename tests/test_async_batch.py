@@ -3,15 +3,14 @@
 Mirrors the guarantees of the synchronous batch-engine suite:
 
 * **one engine, two names** — ``async`` and ``async-batch`` return the
-  same results at a seed, and a dynamics without a batch tick fails
-  loudly on the first tick (the tick laws themselves are checked
-  against exact small-chain oracles in ``test_exact_distributions.py``);
+  same results at a seed, and the tick is each dynamics' own
+  ``vertex_update`` (the tick laws themselves are checked against
+  exact small-chain oracles in ``test_exact_distributions.py``);
 * **ledger integrity** — per-row mass conservation every tick, frozen
   rows never change, recorded consensus ticks are final, and the
   active-row masking edge cases (R = 1, all-frozen-at-start, budget
   exhaustion under ``on_budget="raise"``) behave;
-* **helper contracts** — the integer-exact holder sampler and the
-  batched categorical draw.
+* **helper contracts** — the integer-exact holder sampler.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from repro.core import (
     Dynamics,
     ThreeMajority,
     UndecidedStateDynamics,
-    batch_categorical,
     sample_holders_batch,
 )
 from repro.engine import (
@@ -35,11 +33,7 @@ from repro.engine import (
     available_engines,
     get_engine,
 )
-from repro.errors import (
-    ConfigurationError,
-    ConsensusNotReached,
-    StateError,
-)
+from repro.errors import ConfigurationError, ConsensusNotReached
 from repro.simulation import SimulationSpec, execute
 
 
@@ -71,17 +65,45 @@ class TestOneAsyncEngine:
             assert a.final_counts.tolist() == b.final_counts.tolist()
             assert a.metrics["ticks"] == b.metrics["ticks"]
 
-    def test_dynamics_without_batch_tick_raises_on_first_tick(self):
-        class SyncOnly(ThreeMajority):
-            async_population_step_batch = (
-                Dynamics.async_population_step_batch
-            )
+    def test_dynamics_without_vertex_update_cannot_be_built(self):
+        # The tick is derived from vertex_update, which is abstract: a
+        # dynamics without a rule fails at construction, before any
+        # engine can tick it.
+        class SyncOnly(Dynamics):
+            def population_step_batch(self, counts, rng):
+                return counts
+
+        with pytest.raises(TypeError, match="vertex_update"):
+            SyncOnly()
+
+    def test_tick_applies_the_dynamics_rule(self):
+        # A rule that always picks the empty label 1 moves exactly one
+        # vertex per row to it, whatever the neighbours hold.
+        class ToOne(ThreeMajority):
+            def vertex_update(self, own, seen, rng):
+                assert seen.shape == (3,) + own.shape
+                return np.ones_like(own)
 
         engine = AsyncBatchPopulationEngine(
-            SyncOnly(), balanced(20, 2), num_replicas=2, seed=0
+            ToOne(), np.asarray([10, 0, 10]), num_replicas=3, seed=0
         )
-        with pytest.raises(NotImplementedError, match="SyncOnly"):
-            engine.step()
+        engine.step()
+        assert (engine.counts[:, 1] == 1).all()
+        assert (engine.counts.sum(axis=1) == 20).all()
+
+    def test_usd_tick_reads_the_bound_undecided_label(self):
+        # The engine binds the opinion space, so the tick's rule reads
+        # the last column as undecided; stepped directly, an unbound USD
+        # raises rather than guess.
+        dynamics = UndecidedStateDynamics()
+        AsyncBatchPopulationEngine(
+            dynamics, np.asarray([3, 3, 0]), num_replicas=1, seed=0
+        )
+        assert dynamics.num_decided == 2
+        with pytest.raises(ConfigurationError, match="num_decided"):
+            UndecidedStateDynamics().async_population_step_batch(
+                np.asarray([[3, 3, 0]]), np.random.default_rng(0)
+            )
 
 
 class TestDistributionalEquivalence:
@@ -317,19 +339,3 @@ class TestHelpers:
         draws = sample_holders_batch(counts, 20_000, rng)
         freq = np.bincount(draws[0], minlength=3) / 20_000
         assert np.allclose(freq, [0.1, 0.3, 0.6], atol=0.02)
-
-    def test_batch_categorical_matches_law(self):
-        law = np.tile(np.asarray([0.2, 0.0, 0.8]), (20_000, 1))
-        rng = np.random.default_rng(2)
-        draws = batch_categorical(law, rng)
-        freq = np.bincount(draws, minlength=3) / 20_000
-        assert np.allclose(freq, [0.2, 0.0, 0.8], atol=0.02)
-
-    def test_batch_categorical_rejects_bad_rows(self):
-        rng = np.random.default_rng(0)
-        law = np.asarray([[0.5, 0.5], [0.9, 0.3]])
-        with pytest.raises(StateError) as excinfo:
-            batch_categorical(law, rng, "3-majority")
-        message = str(excinfo.value)
-        assert "row 1" in message
-        assert "3-majority" in message

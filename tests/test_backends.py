@@ -44,7 +44,6 @@ from repro.core import (
     HMajority,
     ThreeMajority,
     Voter,
-    batch_categorical,
     sample_and_gather_neighbor_opinions_batch,
     sample_holders_batch,
 )
@@ -232,7 +231,6 @@ class TestRegistry:
         assert KERNEL_NAMES == {
             "majority_winners",
             "csr_sample_gather",
-            "batch_categorical",
             "sample_holders",
         }
 
@@ -282,27 +280,6 @@ class TestKernelLogic:
                     row, indices[indptr[vertex]:indptr[vertex + 1]]
                 ]
                 assert set(out[:, row, vertex]) <= set(neighbors)
-
-    def test_batch_categorical_kernel_bitwise_vs_reference(
-        self, pure_kernels
-    ):
-        p = np.random.default_rng(3).dirichlet([1.0] * 5, size=64)
-        reference = batch_categorical(p, np.random.default_rng(42))
-        out = np.empty(64, dtype=np.int64)
-        pure_kernels["batch_categorical"](
-            np.ascontiguousarray(p),
-            np.random.default_rng(42).random(64),
-            out,
-        )
-        assert (reference == out).all()
-
-    def test_batch_categorical_kernel_one_hot_rows(self, pure_kernels):
-        p = np.eye(4)[[2, 0, 3, 1]]
-        out = np.empty(4, dtype=np.int64)
-        pure_kernels["batch_categorical"](
-            np.ascontiguousarray(p), np.random.default_rng(0).random(4), out
-        )
-        assert out.tolist() == [2, 0, 3, 1]
 
     def test_sample_holders_kernel_bitwise_vs_reference(
         self, pure_kernels
@@ -593,14 +570,6 @@ class TestNumbaEquivalence:
             accelerated = sample_holders_batch(
                 counts, 4, np.random.default_rng(7)
             )
-        assert (reference == accelerated).all()
-
-    def test_compiled_categorical_matches_reference(self):
-        p = np.random.default_rng(3).dirichlet([1.0] * 5, size=64)
-        with use_backend("numpy"):
-            reference = batch_categorical(p, np.random.default_rng(42))
-        with use_backend("numba"):
-            accelerated = batch_categorical(p, np.random.default_rng(42))
         assert (reference == accelerated).all()
 
     def test_compiled_csr_gather_samples_true_neighbors(self):

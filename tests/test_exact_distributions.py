@@ -18,17 +18,19 @@ and h-Majority, by hand-computed values for Undecided-State; Voter's is
 strategies of 2-Choices and of the Median rule included — is checked
 against the oracle here.
 
-Off the complete graph the same law holds vertex by vertex: given the
-opinions, vertices update independently and vertex v draws from
+On any graph the same law holds vertex by vertex: given the opinions,
+vertices update independently and vertex v draws from
 ``single_vertex_law(alpha_N(v), x_v)``, where ``alpha_N(v)`` is the
 opinion frequency over v's neighbourhood.  The next count vector is the
 convolution of these per-vertex laws, which checks ``agent_step_batch``
-on sparse graphs, per outcome and per vertex.
+(each dynamics' ``vertex_update`` on sampled neighbours) on sparse
+graphs and on the complete graph, per outcome and per vertex.
 
 The asynchronous chain gets the same treatment from the same laws: one
 tick moves one unit from label i to label j with probability
 ``alpha_i * single_vertex_law(alpha, i)[j]``.  That one-tick law checks
-every ``async_population_step_batch``.
+every ``async_population_step_batch``, the same ``vertex_update`` on
+uniformly random vertices.
 
 Multi-step laws come from one absorbing-chain helper: the exact
 transition matrix of a one-step law over all compositions of a tiny n
@@ -252,14 +254,6 @@ def _check_stopping_law(label, results, cdf, leaders, steps):
     )
 
 
-def _sampled_frequencies(step, reps):
-    freq = {}
-    for _ in range(reps):
-        key = tuple(int(x) for x in step())
-        freq[key] = freq.get(key, 0) + 1
-    return {key: count / reps for key, count in freq.items()}
-
-
 def _row_frequencies(rows):
     """Empirical law of the count vectors in the rows of a matrix."""
     outcomes, counts = np.unique(rows, axis=0, return_counts=True)
@@ -267,14 +261,6 @@ def _row_frequencies(rows):
         tuple(int(x) for x in outcome): count / len(rows)
         for outcome, count in zip(outcomes, counts)
     }
-
-
-def _agent_frequencies(dynamics, graph, counts, rng):
-    """Empirical law of the next count vector of REPS agent-level rows,
-    all starting from ``counts``' label blocks, stepped in one call."""
-    opinions = counts_to_agents(np.asarray(counts))
-    new = dynamics.agent_step_batch(np.tile(opinions, (REPS, 1)), graph, rng)
-    return _row_frequencies(_label_counts(new, len(counts)))
 
 
 def _label_counts(opinions, k):
@@ -347,6 +333,15 @@ def _spy_strategies(dynamics, methods, monkeypatch):
     return called
 
 
+def _tiled_frequencies(dynamics, counts, rng):
+    """Empirical law of the next count vector of REPS rows, all starting
+    from ``counts``, stepped by one ``population_step_batch`` call."""
+    base = np.asarray(counts, dtype=np.int64)
+    return _row_frequencies(
+        dynamics.population_step_batch(np.tile(base, (REPS, 1)), rng)
+    )
+
+
 def _compare_batch(dynamics, first, second, rng, label):
     samples = _batch_samples(dynamics, first, second, rng)
     for counts, rows in zip((first, second), samples):
@@ -361,27 +356,14 @@ class TestExactLaws:
         counts = [3, 2]
         dynamics = ThreeMajority()
         exact = _next_count_distribution(dynamics, counts)
-        base = np.asarray(counts, dtype=np.int64)
-        sampled = _sampled_frequencies(
-            lambda: dynamics.population_step(base, rng), REPS
-        )
+        sampled = _tiled_frequencies(dynamics, counts, rng)
         _compare(exact, sampled, REPS, "3maj population")
-
-    def test_three_majority_agent_matches_population_law(self, rng):
-        counts = [3, 2]
-        dynamics = ThreeMajority()
-        exact = _next_count_distribution(dynamics, counts)
-        sampled = _agent_frequencies(dynamics, CompleteGraph(5), counts, rng)
-        _compare(exact, sampled, REPS, "3maj agent")
 
     def test_two_choices_population(self, rng):
         counts = [3, 2]
         dynamics = TwoChoices()
         exact = _next_count_distribution(dynamics, counts)
-        base = np.asarray(counts, dtype=np.int64)
-        sampled = _sampled_frequencies(
-            lambda: dynamics.population_step(base, rng), REPS
-        )
+        sampled = _tiled_frequencies(dynamics, counts, rng)
         _compare(exact, sampled, REPS, "2cho population")
 
     @pytest.mark.parametrize("strategy", sorted(BATCH_INPUTS))
@@ -417,39 +399,17 @@ class TestExactLaws:
         dynamics, first, second = BATCH_LAW_CASES[case]
         _compare_batch(dynamics, first, second, rng, case)
 
-    def test_two_choices_agent(self, rng):
-        counts = [3, 2]
-        dynamics = TwoChoices()
-        exact = _next_count_distribution(dynamics, counts)
-        sampled = _agent_frequencies(dynamics, CompleteGraph(5), counts, rng)
-        _compare(exact, sampled, REPS, "2cho agent")
-
     def test_three_opinions_three_majority(self, rng):
         counts = [2, 1, 1]
         dynamics = ThreeMajority()
         exact = _next_count_distribution(dynamics, counts)
-        base = np.asarray(counts, dtype=np.int64)
-        sampled = _sampled_frequencies(
-            lambda: dynamics.population_step(base, rng), REPS
-        )
+        sampled = _tiled_frequencies(dynamics, counts, rng)
         _compare(exact, sampled, REPS, "3maj k=3")
-
-    def test_h_majority_agent_matches_population_law(self, rng):
-        # h = 4 over three opinions exercises two- and three-way ties.
-        counts = np.asarray([2, 2, 1])
-        dynamics = HMajority(4)
-        law = dynamics.single_vertex_law(counts / 5, 0)
-        exact = _multinomial_distribution(5, law)
-        sampled = _agent_frequencies(dynamics, CompleteGraph(5), counts, rng)
-        _compare(exact, sampled, REPS, "4-majority agent")
 
     def test_voter_exact(self, rng):
         counts = np.asarray([2, 2], dtype=np.int64)
         exact = _multinomial_distribution(4, counts / 4)
-        dynamics = Voter()
-        sampled = _sampled_frequencies(
-            lambda: dynamics.population_step(counts, rng), REPS
-        )
+        sampled = _tiled_frequencies(Voter(), counts, rng)
         _compare(exact, sampled, REPS, "voter")
 
 
@@ -460,7 +420,11 @@ TICK_LAW_CASES = {
     "2-choices": (TwoChoices(), [3, 2, 0], [2, 1, 1]),
     "voter": (Voter(), [3, 2, 0], [2, 1, 1]),
     "median": (MedianRule(), [2, 1, 2], [1, 2, 1]),
-    "undecided": (UndecidedStateDynamics(), [3, 1, 2], [1, 3, 1]),
+    "undecided": (
+        UndecidedStateDynamics(num_decided=2),
+        [3, 1, 2],
+        [1, 3, 1],
+    ),
     "5-majority": (HMajority(5), [2, 2, 1], [1, 3, 0]),
     "4-majority": (HMajority(4), [2, 2, 1], [1, 2, 1]),
 }
@@ -600,11 +564,13 @@ class TestSynchronousStoppingLaws:
 #: One-step graph cases: (graph factory, rows per ``agent_step_batch``
 #: call, None for all REPS rows in one call), with one fixed 3-label
 #: start.  A self-looped 3-regular graph (degree 4, the raw-bit offset
-#: path), a self-looped cycle (degree 3, the bounded-integer path) and
-#: a self-looped G(n, p) graph (degrees 2-8, the per-vertex-bound
-#: path).  The chunked case steps the regular graph 777 rows per call:
-#: 52 calls, each drawing 777 * 12 * s offsets, which is not a whole
-#: number of 8-offset raw words when s is odd.
+#: path), a self-looped cycle (degree 3, the bounded-integer path), a
+#: self-looped G(n, p) graph (degrees 2-8, the per-vertex-bound path)
+#: and the complete graph with self-loops (its closed-form sampler, and
+#: there the law of ``population_step_batch``).  The chunked case steps
+#: the regular graph 777 rows per call: 52 calls, each drawing
+#: 777 * 12 * s offsets, which is not a whole number of 8-offset raw
+#: words when s is odd.
 GRAPH_STEP_CASES = {
     "regular": (functools.partial(random_regular, 12, 3, seed=3), None),
     "regular-chunked": (
@@ -613,14 +579,18 @@ GRAPH_STEP_CASES = {
     ),
     "cycle": (functools.partial(cycle_graph, 12), None),
     "gnp": (functools.partial(erdos_renyi, 12, 0.3, seed=5), None),
+    "complete": (functools.partial(CompleteGraph, 12), None),
 }
 GRAPH_START = np.asarray([0, 0, 1, 2, 2, 2, 1, 0, 1, 1, 0, 2])
 #: Every catalogued dynamics: 4-Majority exercises ties among the
-#: sampled neighbours, and Undecided-State reads label 2 as undecided.
+#: sampled neighbours, 5- and 7-Majority odd sample counts, and
+#: Undecided-State reads label 2 as undecided.
 GRAPH_DYNAMICS = {
     "2-choices": TwoChoices,
     "3-majority": ThreeMajority,
     "4-majority": functools.partial(HMajority, 4),
+    "5-majority": functools.partial(HMajority, 5),
+    "7-majority": functools.partial(HMajority, 7),
     "median": MedianRule,
     "undecided": functools.partial(UndecidedStateDynamics, num_decided=2),
     "voter": Voter,

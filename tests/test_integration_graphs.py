@@ -178,8 +178,8 @@ class TestDegenerateSystems:
                 bad[:, 0] += 1  # creates mass from nothing
                 return bad
 
-            def agent_step_batch(self, opinions, graph, rng):
-                return opinions
+            def vertex_update(self, own, seen, rng):
+                return own
 
         with pytest.raises(StateError):
             Leaky().validated_population_step(

@@ -194,26 +194,21 @@ def test_no_row_loop_flags_loop_and_missing_override(tmp_path):
     messages = [d.render() for d in diagnostics]
     assert (
         "core/dyn.py:4: no-row-loop Looped does not override "
-        "async_population_step_batch; without it the batch engines get "
-        "the base class version, which is abstract or raises"
-    ) in messages
-    assert (
-        "core/dyn.py:4: no-row-loop Looped does not override "
-        "agent_step_batch; without it the batch engines get the base "
-        "class version, which is abstract or raises"
+        "vertex_update; without it the batch engines get the base class "
+        "version, which is abstract"
     ) in messages
     assert (
         "core/dyn.py:7: no-row-loop Python for loop in "
-        "Looped.population_step_batch; batch methods must vectorize "
-        "over the replica axis (use iter_row_chunks for scratch-memory "
-        "chunking)"
+        "Looped.population_step_batch; batch methods and vertex_update "
+        "must vectorize over the replica axis (use iter_row_chunks for "
+        "scratch-memory chunking)"
     ) in messages
-    assert len(diagnostics) == 3
+    assert len(diagnostics) == 2
 
 
-def test_no_row_loop_requires_agent_batch_for_every_dynamics(tmp_path):
-    # Every concrete dynamics needs agent_step_batch, not only the pull
-    # trio: the base class keeps no row loop to fall back on.
+def test_no_row_loop_requires_vertex_update_for_every_dynamics(tmp_path):
+    # Hand-written graph and asynchronous steps do not stand in for the
+    # rule: the base class derives both steps from vertex_update.
     write_tree(
         tmp_path,
         {
@@ -224,11 +219,42 @@ def test_no_row_loop_requires_agent_batch_for_every_dynamics(tmp_path):
 
                     def async_population_step_batch(self, counts, rng):
                         return counts
+
+                    def agent_step_batch(self, opinions, graph, rng):
+                        return opinions
             """
         },
     )
     (diagnostic,) = lint(tmp_path, "no-row-loop")
-    assert "does not override agent_step_batch" in diagnostic.message
+    assert "does not override vertex_update" in diagnostic.message
+
+
+def test_no_row_loop_flags_loop_in_vertex_update(tmp_path):
+    # vertex_update runs on whole sample planes, so a loop over its
+    # vertices is a row loop even without a _batch suffix.
+    write_tree(
+        tmp_path,
+        {
+            "core/dyn.py": """\
+                class PerVertex(Dynamics):
+                    def population_step_batch(self, counts, rng):
+                        return counts
+
+                    def vertex_update(self, own, seen, rng):
+                        out = own.copy()
+                        for index in range(own.size):
+                            out.flat[index] = seen[0].flat[index]
+                        return out
+            """
+        },
+    )
+    (diagnostic,) = lint(tmp_path, "no-row-loop")
+    assert diagnostic.render() == (
+        "core/dyn.py:7: no-row-loop Python for loop in "
+        "PerVertex.vertex_update; batch methods and vertex_update must "
+        "vectorize over the replica axis (use iter_row_chunks for "
+        "scratch-memory chunking)"
+    )
 
 
 def test_no_row_loop_allows_chunk_iterators_and_base_class(tmp_path):
@@ -252,11 +278,8 @@ def test_no_row_loop_allows_chunk_iterators_and_base_class(tmp_path):
                             counts[start:stop] *= 1
                         return counts
 
-                    def async_population_step_batch(self, counts, rng):
-                        return counts
-
-                    def agent_step_batch(self, opinions, graph, rng):
-                        return opinions
+                    def vertex_update(self, own, seen, rng):
+                        return seen[0]
             """
         },
     )
@@ -280,19 +303,16 @@ def test_registry_completeness_unregistered_dynamics(tmp_path):
                     def population_step_batch(self, counts, rng):
                         return counts
 
-                    def async_population_step_batch(self, counts, rng):
-                        return counts
-
-                    def agent_step_batch(self, opinions, graph, rng):
-                        return opinions
+                    def vertex_update(self, own, seen, rng):
+                        return seen[0]
             """,
             "core/orphan.py": """\
                 class Orphan(Dynamics):
                     def population_step_batch(self, counts, rng):
                         return counts
 
-                    def async_population_step_batch(self, counts, rng):
-                        return counts
+                    def vertex_update(self, own, seen, rng):
+                        return seen[0]
             """,
         },
     )
@@ -420,11 +440,8 @@ def test_registry_completeness_clean_tree(tmp_path):
                     def population_step_batch(self, counts, rng):
                         return counts
 
-                    def async_population_step_batch(self, counts, rng):
-                        return counts
-
-                    def agent_step_batch(self, opinions, graph, rng):
-                        return opinions
+                    def vertex_update(self, own, seen, rng):
+                        return seen[0]
             """,
             "engine/fast.py": """\
                 class FastEngine:
