@@ -45,8 +45,6 @@ Package map
                       condition (Def. 3.3), Freedman bounds (Lemma 3.5),
                       stopping times (Def. 4.4), bound curves (Fig. 1);
 ``repro.adversary``   F-bounded adversaries ([GL18] model);
-``repro.protocols``   population-protocol substrate ([AAE07] approx.
-                      majority, pairwise undecided dynamics);
 ``repro.analysis``    estimators, scaling fits, tables, reporting;
 ``repro.sweep``       cached ad-hoc parameter sweeps;
 ``repro.experiments`` one module per paper table/figure/theorem.
@@ -98,11 +96,6 @@ from repro.errors import (
     StateError,
 )
 from repro.graphs import CompleteGraph
-from repro.protocols import (
-    ApproximateMajority,
-    PairwiseEngine,
-    UndecidedPairwise,
-)
 from repro.simulation import ResultSet, Simulation, SimulationSpec
 from repro.sweep import SweepSpec, run_sweep
 
@@ -110,7 +103,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "Adversary",
-    "ApproximateMajority",
     "AsyncBatchPopulationEngine",
     "BackendUnavailableError",
     "BatchAgentEngine",
@@ -124,7 +116,6 @@ __all__ = [
     "GraphError",
     "HMajority",
     "MedianRule",
-    "PairwiseEngine",
     "RandomCorruption",
     "ReproError",
     "ResultSet",
@@ -138,7 +129,6 @@ __all__ = [
     "ThreeMajority",
     "TrajectoryRecorder",
     "TwoChoices",
-    "UndecidedPairwise",
     "UndecidedStateDynamics",
     "Voter",
     "__version__",

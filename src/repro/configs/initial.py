@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.seeding import RandomState, as_generator
-from repro.state import gamma_from_counts, validate_counts
+from repro.state import validate_counts
 from repro.errors import ConfigurationError
 
 __all__ = [
@@ -207,8 +207,3 @@ def geometric_gamma(n: int, k: int, gamma_target: float) -> np.ndarray:
 def custom(counts) -> np.ndarray:
     """Validate and return a caller-supplied count vector."""
     return validate_counts(counts).copy()
-
-
-def achieved_gamma(counts: np.ndarray) -> float:
-    """Convenience re-export: ``gamma_0`` of a configuration."""
-    return gamma_from_counts(counts)

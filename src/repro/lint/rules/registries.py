@@ -6,12 +6,13 @@ The repo routes construction through string-keyed registries (the PR
 kernels via ``backend.kernel(name)``.  A class that exists but is not
 registered is dead weight the CLI/sweep/spec layers can't reach — and
 a kernel exported by the numba backend that no dispatch site requests
-is untested compiled code.  Four sub-checks:
+is untested compiled code.  Six sub-checks:
 
 * every concrete ``Dynamics`` subclass in ``core/`` is referenced by
   ``core/registry.py``;
-* every ``*Engine`` class outside the registry module is passed to a
-  ``register_engine`` call in its own module;
+* every ``*Engine`` class in the tree, outside modules named
+  ``registry.py``, is passed to a ``register_engine`` call in its own
+  module;
 * every concrete ``*Backend`` class (Protocol definitions exempt) is
   passed to a ``register_backend`` call somewhere in the tree;
 * every name in ``numba_kernels.py``'s ``KERNEL_NAMES`` is requested
@@ -133,7 +134,7 @@ class RegistryCompletenessRule:
 
     # -- engines -------------------------------------------------------
     def _check_engines(self, context: LintContext) -> Iterator[Diagnostic]:
-        for file in context.in_directory("engine"):
+        for file in context.files:
             if file.name == "registry.py":
                 continue
             # Engines register a module-level runner (the spec -> results

@@ -93,7 +93,7 @@ def test_undecided_helpers():
     module.N = 256
     module.RUNS = 2
     assert module.synchronous_rounds(2) > 0
-    assert module.pairwise_parallel_time(2) > 0
+    assert module.asynchronous_parallel_time(2) > 0
 
 
 def test_service_quickstart_runs(capsys):

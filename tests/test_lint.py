@@ -336,15 +336,21 @@ def test_registry_completeness_unregistered_engine_and_backend(tmp_path):
                 class GpuBackend:
                     name = "gpu"
             """,
+            "protocols/base.py": """\
+                class PairwiseEngine:
+                    pass
+            """,
         },
     )
     diagnostics = lint(tmp_path, "registry-completeness")
     assert [d.path for d in diagnostics] == [
         "backends/gpu.py",
         "engine/fast.py",
+        "protocols/base.py",
     ]
     assert "register_backend" in diagnostics[0].message
     assert "register_engine" in diagnostics[1].message
+    assert "PairwiseEngine" in diagnostics[2].message
 
 
 def test_registry_completeness_orphan_kernel(tmp_path):
